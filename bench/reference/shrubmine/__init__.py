@@ -1,0 +1,115 @@
+"""Mining closed frequent patterns in height-bounded rooted trees.
+
+The package bundles a polynomial-delay reverse-search miner for unordered
+datasets of height at most 2, the integer-signature algebra it rests on, a
+generic subtree-isomorphism engine, brute-force oracles that double as
+test references, and generators plus verifiers for three hardness-gadget
+families (dualization, satisfiability, itemsets).
+"""
+
+from .errors import ConstraintError, FormatError, SizeGuardError, TreeParseError
+from .isomorphism import (
+    EmbeddingWitness,
+    SupportSet,
+    find_embedding,
+    is_frequent,
+    subtree_iso,
+    support_set,
+    tree_equal,
+)
+from .mining import (
+    EmptySupportError,
+    MiningConfig,
+    MiningSummary,
+    RootPatternError,
+    SearchNode,
+    closure,
+    enumerate_closed,
+    is_closed,
+    neighbors,
+    parent_of,
+    pattern_support,
+)
+from .oracle import (
+    Hypergraph,
+    PatternUniverse,
+    all_patterns,
+    brute_closed,
+    brute_frequent,
+    brute_maximal,
+    brute_mct,
+    brute_mis,
+)
+from .signatures import (
+    Signature,
+    make_signature,
+    maximal_common_tree,
+    shallow_subtree_iso,
+    signature_leq,
+    signature_of,
+    signatures_meet,
+    tree_from_signature,
+)
+from .trees import (
+    Dataset,
+    Tree,
+    TreeBuilder,
+    TreeStats,
+    add_leaf,
+    canonical_form,
+    load_dataset,
+    parse_tree,
+    serialize_tree,
+    tree_stats,
+)
+
+__all__ = [
+    "ConstraintError",
+    "Dataset",
+    "EmbeddingWitness",
+    "EmptySupportError",
+    "FormatError",
+    "Hypergraph",
+    "MiningConfig",
+    "MiningSummary",
+    "PatternUniverse",
+    "RootPatternError",
+    "SearchNode",
+    "Signature",
+    "SizeGuardError",
+    "SupportSet",
+    "Tree",
+    "TreeBuilder",
+    "TreeParseError",
+    "TreeStats",
+    "add_leaf",
+    "all_patterns",
+    "brute_closed",
+    "brute_frequent",
+    "brute_maximal",
+    "brute_mct",
+    "brute_mis",
+    "canonical_form",
+    "closure",
+    "enumerate_closed",
+    "find_embedding",
+    "is_closed",
+    "is_frequent",
+    "load_dataset",
+    "make_signature",
+    "maximal_common_tree",
+    "neighbors",
+    "parent_of",
+    "parse_tree",
+    "pattern_support",
+    "serialize_tree",
+    "shallow_subtree_iso",
+    "signature_leq",
+    "signature_of",
+    "signatures_meet",
+    "subtree_iso",
+    "support_set",
+    "tree_equal",
+    "tree_from_signature",
+    "tree_stats",
+]

@@ -1,0 +1,234 @@
+"""Exhaustive reference implementations used as test oracles.
+
+Everything here enumerates candidate spaces outright and filters by
+definition; nothing shares code with the matching engine or the signature
+algebra, so these routines can sit on the other side of every equivalence
+test.  Hard size guards refuse inputs beyond desk scale instead of running
+for hours.
+
+A pattern *occurs* in a tree when its root can map onto the tree's root,
+i.e. occurrences are the parent-closed vertex subsets containing the root.
+Root-aligned occurrence is what the whole mining side uses: it keeps
+maximal common trees unique and closures well defined, which free-root
+matching does not (see the mining module notes).  The free-root engine in
+the isomorphism module has its own independent oracle in the test suite.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .errors import SizeGuardError
+from .trees import Dataset, Mode, Tree, canon_sort_key, check_mode, parse_tree
+
+#: Refuse to enumerate a tree with more root-aligned occurrences than this.
+MAX_PATTERNS_PER_TREE = 200_000
+#: Hard cap on vertices of any tree handed to the enumerators.
+MAX_TREE_VERTICES = 32
+
+
+@dataclass(frozen=True)
+class Hypergraph:
+    """Vertices ``1..n`` plus a list of nonempty hyperedges."""
+
+    n: int
+    edges: tuple[frozenset[int], ...]
+
+    @classmethod
+    def from_edges(cls, n: int, edges) -> "Hypergraph":
+        es = tuple(frozenset(e) for e in edges)
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        for e in es:
+            if not e:
+                raise ValueError("hyperedges must be nonempty")
+            if not all(1 <= v <= n for v in e):
+                raise ValueError(f"edge {sorted(e)} leaves the vertex range 1..{n}")
+        return cls(n, es)
+
+
+def _pattern_count(tree: Tree) -> int:
+    """Number of parent-closed subsets containing the root."""
+    counts = [1] * tree.size
+    for v in tree._deepest_first:
+        for c in tree.children[v]:
+            counts[v] *= 1 + counts[c]
+    return counts[tree.root]
+
+
+def _guard_tree(tree: Tree, where: str, max_patterns: int, max_vertices: int) -> None:
+    if tree.size > max_vertices:
+        raise SizeGuardError(
+            f"{where}: {tree.size} vertices exceeds the brute-force cap of {max_vertices}"
+        )
+    count = _pattern_count(tree)
+    if count > max_patterns:
+        raise SizeGuardError(
+            f"{where}: {count} root-aligned subtrees exceeds the brute-force cap of {max_patterns}"
+        )
+
+
+def _rooted_pattern_keys(tree: Tree, mode: Mode) -> set[str]:
+    """Encodings of every parent-closed subset of ``tree`` containing its root.
+
+    For each node, every combination of (child absent | child present with
+    one of its own combinations) is spelled out, sorting sibling parts
+    canonically in unordered mode.
+    """
+    unordered = mode == "unordered"
+    options: list[list[str]] = [[] for _ in tree.nodes()]
+    for v in tree._deepest_first:
+        combos: list[tuple[str, ...]] = [()]
+        for c in tree.children[v]:
+            extended = []
+            for base in combos:
+                extended.append(base)
+                for enc in options[c]:
+                    extended.append(base + (enc,))
+            combos = extended
+        if unordered:
+            options[v] = [
+                "(" + "".join(sorted(parts, key=canon_sort_key, reverse=True)) + ")"
+                for parts in combos
+            ]
+        else:
+            options[v] = ["(" + "".join(parts) + ")" for parts in combos]
+    return set(options[tree.root])
+
+
+@dataclass
+class PatternUniverse:
+    """Every pattern occurring in a dataset, keyed by canonical encoding."""
+
+    patterns: dict[str, Tree]
+    per_tree_keys: tuple[frozenset[str], ...]
+    mode: Mode
+    _support: dict[str, int] = field(default_factory=dict, repr=False)
+    _subkeys: dict[str, frozenset[str]] = field(default_factory=dict, repr=False)
+    _best_super: dict[str, int] | None = field(default=None, repr=False)
+
+    def support(self, key: str) -> int:
+        cached = self._support.get(key)
+        if cached is None:
+            cached = sum(1 for keys in self.per_tree_keys if key in keys)
+            self._support[key] = cached
+        return cached
+
+    def proper_subkeys(self, key: str) -> frozenset[str]:
+        """Keys of every strictly smaller pattern occurring in ``key``."""
+        cached = self._subkeys.get(key)
+        if cached is None:
+            tree = self.patterns[key]
+            cached = frozenset(_rooted_pattern_keys(tree, self.mode)) - {key}
+            self._subkeys[key] = cached
+        return cached
+
+    def best_super_support(self) -> dict[str, int]:
+        """For each key, the largest support among its strict superpatterns."""
+        if self._best_super is None:
+            best: dict[str, int] = {}
+            for key in self.patterns:
+                s = self.support(key)
+                for sub in self.proper_subkeys(key):
+                    if best.get(sub, -1) < s:
+                        best[sub] = s
+            self._best_super = best
+        return self._best_super
+
+
+def all_patterns(
+    dataset: Dataset,
+    max_patterns: int = MAX_PATTERNS_PER_TREE,
+    max_vertices: int = MAX_TREE_VERTICES,
+) -> PatternUniverse:
+    """Enumerate every pattern occurring in the dataset, root aligned."""
+    check_mode(dataset.mode)
+    per_tree: list[frozenset[str]] = []
+    patterns: dict[str, Tree] = {}
+    for i, tree in enumerate(dataset.trees):
+        _guard_tree(tree, f"dataset tree {i}", max_patterns, max_vertices)
+        keys = _rooted_pattern_keys(tree, dataset.mode)
+        per_tree.append(frozenset(keys))
+        for key in keys:
+            if key not in patterns:
+                patterns[key] = parse_tree(key)
+    return PatternUniverse(patterns, tuple(per_tree), dataset.mode)
+
+
+def _check_theta(theta: int) -> None:
+    if theta < 1:
+        raise ValueError(f"theta must be >= 1, got {theta}")
+
+
+def brute_frequent(
+    dataset: Dataset, theta: int, universe: PatternUniverse | None = None
+) -> dict[str, Tree]:
+    """All patterns with support at least ``theta``, keyed canonically."""
+    _check_theta(theta)
+    u = universe if universe is not None else all_patterns(dataset)
+    return {k: t for k, t in u.patterns.items() if u.support(k) >= theta}
+
+
+def brute_maximal(
+    dataset: Dataset, theta: int, universe: PatternUniverse | None = None
+) -> dict[str, Tree]:
+    """Frequent patterns strictly contained in no other frequent pattern."""
+    u = universe if universe is not None else all_patterns(dataset)
+    frequent = brute_frequent(dataset, theta, u)
+    dominated: set[str] = set()
+    for key in frequent:
+        dominated.update(u.proper_subkeys(key))
+    return {k: t for k, t in frequent.items() if k not in dominated}
+
+
+def brute_closed(
+    dataset: Dataset, theta: int, universe: PatternUniverse | None = None
+) -> dict[str, Tree]:
+    """Frequent patterns every strict superpattern of which loses support.
+
+    Superpatterns range over occurring patterns only, which is exhaustive
+    for theta >= 1: an equal-support superpattern of an occurring pattern
+    occurs in some tree itself.
+    """
+    u = universe if universe is not None else all_patterns(dataset)
+    frequent = brute_frequent(dataset, theta, u)
+    best_super = u.best_super_support()
+    return {
+        k: t for k, t in frequent.items() if u.support(k) > best_super.get(k, -1)
+    }
+
+
+def brute_mct(dataset: Dataset, universe: PatternUniverse | None = None) -> dict[str, Tree]:
+    """All maximal common trees: the maximal patterns at full support."""
+    if len(dataset.trees) == 0:
+        raise ValueError("maximal common trees of an empty dataset are undefined")
+    return brute_maximal(dataset, len(dataset.trees), universe)
+
+
+def brute_mis(h: Hypergraph, max_vertices: int = 20) -> set[frozenset[int]]:
+    """All maximal independent sets of a hypergraph, by subset sweep.
+
+    A set is independent when it fully contains no hyperedge, and maximal
+    when every one-vertex extension stops being independent.
+    """
+    if h.n > max_vertices:
+        raise SizeGuardError(
+            f"{h.n} vertices exceeds the brute-force cap of {max_vertices}"
+        )
+    edge_masks = [sum(1 << (v - 1) for v in e) for e in h.edges]
+    result: set[frozenset[int]] = set()
+    for subset in range(1 << h.n):
+        if any(subset & e == e for e in edge_masks):
+            continue
+        maximal = True
+        for v in range(h.n):
+            bit = 1 << v
+            if subset & bit:
+                continue
+            grown = subset | bit
+            if not any(grown & e == e for e in edge_masks):
+                maximal = False
+                break
+        if maximal:
+            result.add(frozenset(v + 1 for v in range(h.n) if subset & (1 << v)))
+    return result

@@ -1,0 +1,302 @@
+"""Rooted trees, balanced-parentheses encodings, and tree datasets.
+
+A tree is stored as an immutable arena of dense node ids ``0..n-1`` with
+mutually consistent parent and child records.  All edits (``add_leaf``,
+grafting through :class:`TreeBuilder`) produce new trees, so values can be
+shared freely between enumeration states.
+
+Text format: ``tree := "(" tree* ")"``.  The outermost pair is the root and
+children read left to right; whitespace between tokens is ignored.  A
+dataset file holds one tree per line, with blank lines and lines starting
+with ``#`` skipped.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator, Literal, Sequence
+
+from .errors import TreeParseError
+
+Mode = Literal["ordered", "unordered"]
+
+#: Canonical child order ranks '(' above ')', so encodings of deeper/larger
+#: subtrees sort first.  This keeps canonical strings aligned with the
+#: non-increasing signature convention used by the height-2 algebra.
+_CANON_RANK = str.maketrans("()", "10")
+
+
+def check_mode(mode: str) -> Mode:
+    if mode not in ("ordered", "unordered"):
+        raise ValueError(f"mode must be 'ordered' or 'unordered', got {mode!r}")
+    return mode  # type: ignore[return-value]
+
+
+def canon_sort_key(encoding: str) -> str:
+    """Sort key under which child encodings are ordered (descending)."""
+    return encoding.translate(_CANON_RANK)
+
+
+@dataclass(frozen=True)
+class Tree:
+    """An immutable rooted tree over dense integer node ids.
+
+    ``parents[i]`` is the parent of node ``i`` (``None`` exactly for the
+    root) and ``children[i]`` is the ordered tuple of its children.
+    """
+
+    parents: tuple[int | None, ...]
+    children: tuple[tuple[int, ...], ...]
+    root: int = 0
+
+    @classmethod
+    def from_children(cls, children: Sequence[Sequence[int]], root: int = 0) -> "Tree":
+        """Build and validate a tree from per-node child lists."""
+        n = len(children)
+        if n == 0:
+            raise ValueError("a tree has at least one vertex")
+        if not 0 <= root < n:
+            raise ValueError(f"root id {root} out of range 0..{n - 1}")
+        parents: list[int | None] = [None] * n
+        child_tuples = []
+        for v, childs in enumerate(children):
+            for c in childs:
+                if not 0 <= c < n:
+                    raise ValueError(f"child id {c} of node {v} out of range")
+                if parents[c] is not None or c == root:
+                    raise ValueError(f"node {c} has more than one parent or is the root")
+                parents[c] = v
+            child_tuples.append(tuple(childs))
+        orphans = [v for v in range(n) if parents[v] is None and v != root]
+        if orphans:
+            raise ValueError(f"nodes {orphans} are unreachable from the root")
+        tree = cls(tuple(parents), tuple(child_tuples), root)
+        # a cycle would leave some node unreachable from the root
+        if len(tree.depths) != n:
+            raise ValueError("parent relation is cyclic")
+        return tree
+
+    @property
+    def size(self) -> int:
+        return len(self.parents)
+
+    def nodes(self) -> range:
+        return range(len(self.parents))
+
+    def is_leaf(self, v: int) -> bool:
+        return v != self.root and not self.children[v]
+
+    @cached_property
+    def depths(self) -> tuple[int, ...]:
+        """Distance from the root, per node, in root-first visit order."""
+        depth = [-1] * len(self.parents)
+        depth[self.root] = 0
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            for c in self.children[v]:
+                depth[c] = depth[v] + 1
+                stack.append(c)
+        if min(depth) < 0:
+            raise ValueError("tree has nodes unreachable from the root")
+        return tuple(depth)
+
+    @cached_property
+    def height(self) -> int:
+        return max(self.depths)
+
+    @cached_property
+    def _deepest_first(self) -> tuple[int, ...]:
+        return tuple(sorted(self.nodes(), key=lambda v: self.depths[v], reverse=True))
+
+    @cached_property
+    def subtree_sizes(self) -> tuple[int, ...]:
+        sizes = [1] * self.size
+        for v in self._deepest_first:
+            for c in self.children[v]:
+                sizes[v] += sizes[c]
+        return tuple(sizes)
+
+    @cached_property
+    def subtree_heights(self) -> tuple[int, ...]:
+        heights = [0] * self.size
+        for v in self._deepest_first:
+            if self.children[v]:
+                heights[v] = 1 + max(heights[c] for c in self.children[v])
+        return tuple(heights)
+
+    def encodings(self, mode: Mode) -> tuple[str, ...]:
+        """Per-node encoding of the subtree rooted there, under ``mode``."""
+        check_mode(mode)
+        return self._ordered_encodings if mode == "ordered" else self._unordered_encodings
+
+    @cached_property
+    def _ordered_encodings(self) -> tuple[str, ...]:
+        enc: list[str] = [""] * self.size
+        for v in self._deepest_first:
+            enc[v] = "(" + "".join(enc[c] for c in self.children[v]) + ")"
+        return tuple(enc)
+
+    @cached_property
+    def _unordered_encodings(self) -> tuple[str, ...]:
+        enc: list[str] = [""] * self.size
+        for v in self._deepest_first:
+            parts = sorted((enc[c] for c in self.children[v]), key=canon_sort_key, reverse=True)
+            enc[v] = "(" + "".join(parts) + ")"
+        return tuple(enc)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Tree({self._ordered_encodings[self.root]!r})"
+
+
+class TreeBuilder:
+    """Mutable arena for assembling a tree top-down; ``build`` freezes it."""
+
+    def __init__(self) -> None:
+        self._children: list[list[int]] = [[]]
+
+    @property
+    def root(self) -> int:
+        return 0
+
+    def add_child(self, parent: int) -> int:
+        node = len(self._children)
+        self._children.append([])
+        self._children[parent].append(node)
+        return node
+
+    def graft(self, parent: int, subtree: Tree) -> int:
+        """Copy ``subtree`` below ``parent``; returns the copy's root id."""
+        new_id: dict[int, int] = {}
+        order = [subtree.root]
+        i = 0
+        while i < len(order):
+            v = order[i]
+            i += 1
+            new_id[v] = self.add_child(parent if v == subtree.root else new_id[subtree.parents[v]])
+            order.extend(subtree.children[v])
+        return new_id[subtree.root]
+
+    def build(self) -> Tree:
+        return Tree.from_children(self._children, root=0)
+
+
+def parse_tree(text: str) -> Tree:
+    """Parse a balanced-parentheses encoding into a tree.
+
+    Raises :class:`TreeParseError` with the byte offset of the first
+    problem for unbalanced, empty, or trailing input.
+    """
+    children: list[list[int]] = []
+    stack: list[int] = []
+    root_seen = False
+    for offset, ch in enumerate(text):
+        if ch.isspace():
+            continue
+        if ch == "(":
+            if root_seen and not stack:
+                raise TreeParseError("unexpected second top-level tree", offset=offset)
+            node = len(children)
+            children.append([])
+            if stack:
+                children[stack[-1]].append(node)
+            else:
+                root_seen = True
+            stack.append(node)
+        elif ch == ")":
+            if not stack:
+                raise TreeParseError("unbalanced ')'", offset=offset)
+            stack.pop()
+        else:
+            raise TreeParseError(f"unexpected character {ch!r}", offset=offset)
+    if stack:
+        raise TreeParseError("unbalanced '(': input ended inside a tree", offset=len(text))
+    if not root_seen:
+        raise TreeParseError("empty input: expected at least one '()' pair", offset=0)
+    return Tree.from_children(children, root=0)
+
+
+def serialize_tree(t: Tree) -> str:
+    """Literal encoding of ``t``; ``parse_tree`` reproduces it node for node."""
+    return t.encodings("ordered")[t.root]
+
+
+def canonical_form(t: Tree, mode: Mode) -> str:
+    """Normal form deciding equality under ``mode``.
+
+    Ordered mode is the literal serialization.  Unordered mode sorts each
+    node's child encodings in non-increasing canonical order, so two trees
+    get equal keys exactly when they are isomorphic as unordered trees.
+    """
+    return t.encodings(mode)[t.root]
+
+
+def add_leaf(t: Tree, v: int) -> Tree:
+    """Return a new tree with a fresh leaf appended as the last child of ``v``."""
+    if not 0 <= v < t.size:
+        raise ValueError(f"unknown node id {v}")
+    new = t.size
+    parents = t.parents + (v,)
+    children = tuple(
+        t.children[u] + (new,) if u == v else t.children[u] for u in t.nodes()
+    ) + ((),)
+    return Tree(parents, children, t.root)
+
+
+@dataclass(frozen=True)
+class TreeStats:
+    height: int
+    vertex_count: int
+    max_child_count: int
+
+
+def tree_stats(t: Tree) -> TreeStats:
+    return TreeStats(
+        height=t.height,
+        vertex_count=t.size,
+        max_child_count=max(len(t.children[v]) for v in t.nodes()),
+    )
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """An indexed multiset of trees, compared under a fixed mode.
+
+    ``canon_cache[i]`` always equals ``canonical_form(trees[i], mode)``.
+    """
+
+    trees: tuple[Tree, ...]
+    mode: Mode
+    canon_cache: tuple[str, ...]
+
+    @classmethod
+    def from_trees(cls, trees: Iterable[Tree], mode: Mode) -> "Dataset":
+        check_mode(mode)
+        ts = tuple(trees)
+        return cls(ts, mode, tuple(canonical_form(t, mode) for t in ts))
+
+    def __len__(self) -> int:
+        return len(self.trees)
+
+    def __iter__(self) -> Iterator[Tree]:
+        return iter(self.trees)
+
+
+def load_dataset(source: Iterable[str], mode: Mode) -> Dataset:
+    """Read one tree per line; blank lines and ``#`` comments are skipped.
+
+    Duplicate lines produce distinct indices (multiset semantics).  Parse
+    errors carry the 1-based line number.
+    """
+    check_mode(mode)
+    trees = []
+    for lineno, raw in enumerate(source, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            trees.append(parse_tree(line))
+        except TreeParseError as exc:
+            raise TreeParseError(exc.bare_message, offset=exc.offset, line=lineno) from None
+    return Dataset.from_trees(trees, mode)
