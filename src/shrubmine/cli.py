@@ -2,8 +2,8 @@
 
 One solution per line on stdout, streamed and flushed as found;
 diagnostics and run summaries on stderr.  Exit codes: 0 success, 1 a
-verification check failed, 2 input or parse error, 3 constraint violation,
-4 size-guard refusal.
+verification check failed, 2 input, file or parse error, 3 constraint
+violation, 4 size-guard refusal.
 """
 
 from __future__ import annotations
@@ -84,8 +84,6 @@ def _pattern_lines(args) -> list[str]:
 
 def cmd_mine(args) -> int:
     dataset, header = _load_dataset_arg(args)
-    if dataset.mode != "unordered":
-        raise ConstraintError("closed mining requires an unordered dataset")
     theta = _resolve_theta(args, header)
     config = MiningConfig(theta=theta, max_solutions=args.limit)
     emitted = 0
@@ -312,6 +310,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError:
             pass
         return 0
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
     except TreeParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

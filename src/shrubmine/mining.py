@@ -20,30 +20,40 @@ visited set is kept.
 
 Parent rule: for a closed non-root pattern P, the parent is the closure of
 the support of P extended by one more dataset tree, chosen so that the
-resulting tree is maximal under dominance among all such candidates (ties:
-smallest canonical key, then smallest added dataset index).  A maximal
-candidate is what guarantees every closed pattern is reachable from its
-parent through a one-leaf extension; picking a minimal candidate instead
-can strand solutions (in {(2,2), (3,1), (1,1)} the pattern (2,2) would
-become unreachable).
+resulting signature is the largest such candidate as a tuple.  Dominance
+implies tuple order (a pattern strictly below another is a proper prefix of
+it or smaller at their first difference), so that candidate is maximal under
+dominance.  A larger tuple has a smaller canonical key, so this is the
+"smallest canonical key among the dominance-maximal candidates" rule, and
+equal signatures are the same tree, so which dataset tree was added never
+matters.  A maximal candidate is what guarantees every closed pattern is
+reachable from its parent through a one-leaf extension; picking a minimal
+candidate instead can strand solutions (in {(2,2), (3,1), (1,1)} the
+pattern (2,2) would become unreachable).
+
+The search state is a signature plus its support; trees are built only from
+the dataset on input and for the patterns handed back to callers.  An
+extension's supporters are among its parent's, so only the parent's support
+is scanned ("occurrence deliver", as in Uno, Kiyomi and Arimura, LCM ver. 2).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import ConstraintError
 from .isomorphism import SupportSet
 from .signatures import (
     Signature,
+    signature_key,
     signature_leq,
     signature_of,
     signatures_meet,
     tree_from_signature,
 )
-from .trees import Dataset, Tree, add_leaf, canonical_form
+from .trees import Dataset, Tree
 
 
 class EmptySupportError(ValueError):
@@ -62,11 +72,18 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class SearchNode:
-    """A closed pattern together with its support and canonical key."""
+    """A pattern's signature together with its support."""
 
-    pattern: Tree
+    sig: Signature
     support: SupportSet
-    canon: str
+
+    @property
+    def pattern(self) -> Tree:
+        return tree_from_signature(self.sig)
+
+    @property
+    def canon(self) -> str:
+        return signature_key(self.sig)
 
 
 @dataclass
@@ -88,19 +105,33 @@ def _dataset_signatures(dataset: Dataset) -> list[Signature]:
     return sigs
 
 
-def pattern_support(pattern: Tree, dataset: Dataset) -> SupportSet:
-    """Root-aligned support: indices whose signature dominates the pattern's."""
+def _support(psig: Signature, sigs: list[Signature], among: Iterable[int]) -> SupportSet:
+    """The indices in ``among`` whose signature dominates ``psig``."""
+    return SupportSet.from_indices(i for i in among if signature_leq(psig, sigs[i]))
+
+
+def _meet(sigs: list[Signature], support: SupportSet) -> Signature:
+    return signatures_meet([sigs[i] for i in support.indices])
+
+
+def _locate(pattern: Tree, dataset: Dataset) -> tuple[list[Signature], SearchNode]:
+    """Validate ``dataset`` and pair the pattern's signature with its support."""
     sigs = _dataset_signatures(dataset)
     psig = signature_of(pattern)
-    return SupportSet.from_indices(
-        i for i, s in enumerate(sigs) if signature_leq(psig, s)
-    )
+    return sigs, SearchNode(psig, _support(psig, sigs, range(len(sigs))))
 
 
-def _support_of_sig(psig: Signature, sigs: list[Signature]) -> SupportSet:
-    return SupportSet.from_indices(
-        i for i, s in enumerate(sigs) if signature_leq(psig, s)
-    )
+def _closed(pattern: Tree, dataset: Dataset) -> tuple[list[Signature], SearchNode, Signature]:
+    """:func:`_locate` plus the closure signature, the meet of the support."""
+    sigs, node = _locate(pattern, dataset)
+    if node.support.count == 0:
+        raise EmptySupportError("closure undefined: pattern occurs in no dataset tree")
+    return sigs, node, _meet(sigs, node.support)
+
+
+def pattern_support(pattern: Tree, dataset: Dataset) -> SupportSet:
+    """Root-aligned support: indices whose signature dominates the pattern's."""
+    return _locate(pattern, dataset)[1].support
 
 
 def closure(pattern: Tree, dataset: Dataset) -> Tree:
@@ -108,43 +139,21 @@ def closure(pattern: Tree, dataset: Dataset) -> Tree:
 
     The result contains ``pattern`` and has exactly the same support.
     """
-    sigs = _dataset_signatures(dataset)
-    sup = _support_of_sig(signature_of(pattern), sigs)
-    if sup.count == 0:
-        raise EmptySupportError("closure undefined: pattern occurs in no dataset tree")
-    return tree_from_signature(signatures_meet([sigs[i] for i in sup.indices]))
+    return tree_from_signature(_closed(pattern, dataset)[2])
 
 
 def is_closed(pattern: Tree, dataset: Dataset) -> bool:
     """A pattern is closed when it equals its own closure."""
-    return canonical_form(pattern, "unordered") == canonical_form(
-        closure(pattern, dataset), "unordered"
+    _, node, closed = _closed(pattern, dataset)
+    return node.sig == closed
+
+
+def _parent_sig(node: SearchNode, sigs: list[Signature]) -> Signature:
+    """Parent signature of a closed non-root node (see the module notes)."""
+    inside = set(node.support.indices)
+    return max(
+        signatures_meet([node.sig, s]) for i, s in enumerate(sigs) if i not in inside
     )
-
-
-def _parent_sig(support: SupportSet, sigs: list[Signature]) -> tuple[Signature, str]:
-    """Parent signature and canonical key for a closed non-root pattern."""
-    in_support = set(support.indices)
-    base_meet = signatures_meet([sigs[i] for i in support.indices])
-    candidates: list[tuple[str, int, Signature]] = []
-    for idx, sig in enumerate(sigs):
-        if idx in in_support:
-            continue
-        merged = signatures_meet([base_meet, sig])
-        key = canonical_form(tree_from_signature(merged), "unordered")
-        candidates.append((key, idx, merged))
-    best: tuple[str, int, Signature] | None = None
-    for key, idx, merged in candidates:
-        dominated = any(
-            other_key != key and signature_leq(merged, other)
-            for other_key, _, other in candidates
-        )
-        if dominated:
-            continue
-        if best is None or (key, idx) < (best[0], best[1]):
-            best = (key, idx, merged)
-    assert best is not None, "candidate set cannot be empty for a non-root pattern"
-    return best[2], best[0]
 
 
 def parent_of(pattern: Tree, dataset: Dataset) -> Tree:
@@ -153,39 +162,39 @@ def parent_of(pattern: Tree, dataset: Dataset) -> Tree:
     Support strictly grows from child to parent, so iterating reaches the
     dataset closure in at most ``len(dataset)`` steps.
     """
-    sigs = _dataset_signatures(dataset)
-    sup = _support_of_sig(signature_of(pattern), sigs)
-    if sup.count == 0:
-        raise EmptySupportError("pattern occurs in no dataset tree")
-    if sup.count == len(dataset.trees):
+    sigs, node, closed = _closed(pattern, dataset)
+    if node.support.count == len(sigs):
         raise RootPatternError("the dataset closure has no parent")
-    return tree_from_signature(_parent_sig(sup, sigs)[0])
+    return tree_from_signature(_parent_sig(SearchNode(closed, node.support), sigs))
+
+
+def _extensions(sig: Signature) -> list[Signature]:
+    """One-leaf extensions: a new root child first, then one more leaf under
+    the first child of each run of equal entries (the rest give the same
+    signature).  Leaves at depth 2 cannot take a child in the height-2
+    universe."""
+    out = [sig + (1,)]
+    for i, x in enumerate(sig):
+        if i == 0 or x != sig[i - 1]:
+            out.append(sig[:i] + (x + 1,) + sig[i + 1 :])
+    return out
 
 
 def _neighbor_nodes(
     node: SearchNode, sigs: list[Signature], theta: int
 ) -> list[SearchNode]:
-    """Closures of frequent one-leaf extensions, deduplicated, self excluded.
-
-    Extensions at depth-2 vertices would leave the height-2 universe and
-    can never be frequent here, so those vertices are skipped.
-    """
+    """Closures of frequent one-leaf extensions, deduplicated, self excluded."""
     out: list[SearchNode] = []
-    seen: set[str] = set()
-    pattern = node.pattern
-    for v in pattern.nodes():
-        if pattern.depths[v] > 1:
-            continue
-        extended = add_leaf(pattern, v)
-        sup = _support_of_sig(signature_of(extended), sigs)
+    seen = {node.sig}
+    for ext in _extensions(node.sig):
+        sup = _support(ext, sigs, node.support.indices)
         if sup.count < theta:
             continue
-        closed = tree_from_signature(signatures_meet([sigs[i] for i in sup.indices]))
-        key = canonical_form(closed, "unordered")
-        if key == node.canon or key in seen:
+        closed = _meet(sigs, sup)
+        if closed in seen:
             continue
-        seen.add(key)
-        out.append(SearchNode(closed, sup, key))
+        seen.add(closed)
+        out.append(SearchNode(closed, sup))
     return out
 
 
@@ -193,9 +202,7 @@ def neighbors(pattern: Tree, dataset: Dataset, theta: int) -> list[Tree]:
     """Neighbor patterns of a closed frequent tree, at most one per vertex."""
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
-    sigs = _dataset_signatures(dataset)
-    sup = _support_of_sig(signature_of(pattern), sigs)
-    node = SearchNode(pattern, sup, canonical_form(pattern, "unordered"))
+    sigs, node = _locate(pattern, dataset)
     return [n.pattern for n in _neighbor_nodes(node, sigs, theta)]
 
 
@@ -206,23 +213,21 @@ def enumerate_closed(
 ) -> MiningSummary:
     """Emit every closed ``theta``-frequent tree exactly once, depth first.
 
-    ``sink`` is called once per solution in a deterministic order.  The
-    summary reports the solution count, the maximum delay between
-    consecutive emissions, and peak working-set metrics.
+    ``sink`` is called once per solution in a deterministic order, at most
+    ``max_solutions`` times when that is set.  The summary reports the
+    solution count, the maximum delay between consecutive emissions, and
+    peak working-set metrics.
     """
+    sigs = _dataset_signatures(dataset)
     if config.theta < 1:
         raise ValueError(f"theta must be >= 1, got {config.theta}")
-    sigs = _dataset_signatures(dataset)
+    if config.max_solutions is not None and config.max_solutions < 0:
+        raise ValueError(f"limit must be >= 0, got {config.max_solutions}")
     summary = MiningSummary()
-    if config.theta > len(sigs):
+    if config.theta > len(sigs) or config.max_solutions == 0:
         return summary
 
-    root_pattern = tree_from_signature(signatures_meet(sigs))
-    root = SearchNode(
-        root_pattern,
-        SupportSet.from_indices(range(len(sigs))),
-        canonical_form(root_pattern, "unordered"),
-    )
+    root = SearchNode(signatures_meet(sigs), SupportSet.from_indices(range(len(sigs))))
 
     last_tick = time.perf_counter()
 
@@ -257,8 +262,7 @@ def enumerate_closed(
             continue
         child = pending.pop()
         live -= 1
-        _, parent_key = _parent_sig(child.support, sigs)
-        if parent_key != node.canon:
+        if _parent_sig(child, sigs) != node.sig:
             continue
         if not emit(child):
             return summary

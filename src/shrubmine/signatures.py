@@ -48,6 +48,18 @@ def tree_from_signature(sig: Signature) -> Tree:
     return b.build()
 
 
+def signature_key(sig: Signature) -> str:
+    """Unordered canonical form of ``tree_from_signature(sig)``, built
+    without the tree.
+
+    Entry x encodes as ``(`` + ``()`` * (x-1) + ``)``.  Since ``(`` sorts
+    before ``)``, a larger entry has a smaller encoding, so the entries of a
+    non-increasing ``sig`` are already in canonical child order, and
+    ``signature_key(a) < signature_key(b)`` exactly when ``a > b`` as tuples.
+    """
+    return "(" + "".join("(" + "()" * (x - 1) + ")" for x in sig) + ")"
+
+
 def signature_leq(x: Signature, y: Signature) -> bool:
     """Dominance order: some injection sends every entry of ``x`` to a
     distinct entry of ``y`` at least as large.

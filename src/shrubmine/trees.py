@@ -84,9 +84,6 @@ class Tree:
     def nodes(self) -> range:
         return range(len(self.parents))
 
-    def is_leaf(self, v: int) -> bool:
-        return v != self.root and not self.children[v]
-
     @cached_property
     def depths(self) -> tuple[int, ...]:
         """Distance from the root, per node, in root-first visit order."""
@@ -261,20 +258,15 @@ def tree_stats(t: Tree) -> TreeStats:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An indexed multiset of trees, compared under a fixed mode.
-
-    ``canon_cache[i]`` always equals ``canonical_form(trees[i], mode)``.
-    """
+    """An indexed multiset of trees, compared under a fixed mode."""
 
     trees: tuple[Tree, ...]
     mode: Mode
-    canon_cache: tuple[str, ...]
 
     @classmethod
     def from_trees(cls, trees: Iterable[Tree], mode: Mode) -> "Dataset":
         check_mode(mode)
-        ts = tuple(trees)
-        return cls(ts, mode, tuple(canonical_form(t, mode) for t in ts))
+        return cls(tuple(trees), mode)
 
     def __len__(self) -> int:
         return len(self.trees)

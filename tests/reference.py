@@ -148,6 +148,18 @@ def random_signature(rng: random.Random, max_total: int) -> tuple[int, ...]:
     return tuple(sorted(entries, reverse=True))
 
 
+def partitions(total: int, cap: int | None = None):
+    """Integer partitions of ``total`` with parts <= ``cap``, as signatures,
+    largest first part first."""
+    cap = total if cap is None else cap
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(cap, total), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest
+
+
 def random_h2_tree(rng: random.Random, max_vertices: int = 12) -> Tree:
     """Uniform-ish random tree of height <= 2 with at most max_vertices."""
     return tree_from_signature(random_signature(rng, rng.randint(0, max_vertices - 1)))

@@ -45,6 +45,7 @@ from reference import (
     all_unordered_trees,
     cyclic_34_cnf,
     naive_signature_leq,
+    partitions,
     random_h2_dataset,
     random_signature,
     subtree_shapes,
@@ -141,21 +142,11 @@ def test_criterion_2_unique_maximal_common_tree():
     verdict(2, "maximal common tree uniqueness", f"{checked} datasets, {elapsed:.1f}s")
 
 
-def _partitions(total: int, cap: int | None = None):
-    cap = total if cap is None else cap
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(cap, total), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
-
-
 def test_criterion_3_dominance_mirrors_containment_height_two():
     exact_h2 = [
         tree_from_signature(sig)
         for total in range(2, 8)
-        for sig in _partitions(total)
+        for sig in partitions(total)
         if sig[0] >= 2
     ]
     assert all(t.size <= 8 and t.height == 2 for t in exact_h2)
@@ -335,7 +326,7 @@ def test_criterion_9_streaming_contract(criterion1_data):
         max_delay = max(max_delay, run.max_delay_seconds)
 
     # engineered dataset with well over 100 closed patterns
-    sigs = [sig for total in range(1, 13) for sig in _partitions(total)][:120]
+    sigs = [sig for total in range(1, 13) for sig in partitions(total)][:120]
     assert len(sigs) == 120
     ds = Dataset.from_trees([tree_from_signature(s) for s in sigs], "unordered")
     emitted: list[str] = []

@@ -78,6 +78,36 @@ def test_mine_limit(capsys, two_tree_file):
     )
     assert code == 0
     assert len(out.splitlines()) == 1
+    code, out, err = run_cli(
+        capsys, "mine", "closed", "--input", two_tree_file, "--theta", "1", "--limit", "0"
+    )
+    assert code == 0
+    assert out == ""
+    assert err.startswith("count=0 ")
+    code, out, err = run_cli(
+        capsys, "mine", "closed", "--input", two_tree_file, "--theta", "1", "--limit", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_missing_input_file_exit_code(capsys, tmp_path):
+    missing = (tmp_path / "absent.trees").as_posix()
+    code, out, err = run_cli(capsys, "mine", "closed", "--input", missing)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "absent.trees" in err
+
+
+def test_non_utf8_input_exit_code(capsys, tmp_path):
+    path = tmp_path / "latin1.trees"
+    path.write_bytes(b"# mode=unordered \xe9\n(())\n")
+    code, out, err = run_cli(capsys, "mine", "closed", "--input", path.as_posix())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_mine_output_is_self_consumable(capsys, two_tree_file):

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -26,7 +27,7 @@ from shrubmine import (
     tree_from_signature,
 )
 
-from reference import random_h2_dataset
+from reference import partitions, random_h2_dataset
 
 
 def sig_dataset(*sigs):
@@ -205,6 +206,10 @@ def test_enumerate_respects_limit():
     got, summary = mine(ds, 1, max_solutions=2)
     assert len(got) == 2 and summary.count == 2
     assert [n.canon for n in got] == [n.canon for n in full[:2]]
+    got, summary = mine(ds, 1, max_solutions=0)
+    assert got == [] and summary.count == 0
+    with pytest.raises(ValueError):
+        mine(ds, 1, max_solutions=-1)
 
 
 def test_minimal_parent_rule_counterexample_is_covered():
@@ -260,3 +265,19 @@ def test_run_to_run_determinism():
         first, _ = mine(ds, 1)
         second, _ = mine(ds, 1)
         assert [n.canon for n in first] == [n.canon for n in second]
+
+
+def test_emission_order_is_pinned():
+    # CRC-32 of the newline-joined canon stream: the emission order, not
+    # only the set, is part of the contract, so changing it means re-pinning.
+    def stream_crc(ds, thetas):
+        keys = []
+        for theta in thetas:
+            got, _ = mine(ds, theta)
+            keys.extend(n.canon for n in got)
+        return len(keys), zlib.crc32("\n".join(keys).encode())
+
+    sigs = [sig for total in range(1, 13) for sig in partitions(total)][:120]
+    assert stream_crc(sig_dataset(*sigs), [1]) == (120, 2944552256)
+    ds = random_h2_dataset(random.Random(10), min_trees=10, max_trees=10, max_vertices=16)
+    assert stream_crc(ds, range(1, len(ds.trees) + 1)) == (72, 4261327507)

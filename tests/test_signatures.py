@@ -18,6 +18,7 @@ from shrubmine import (
     tree_equal,
     tree_from_signature,
 )
+from shrubmine.signatures import signature_key
 
 from reference import (
     naive_signature_leq,
@@ -102,6 +103,9 @@ def test_partial_order_laws():
             assert x == y
         if signature_leq(x, y) and signature_leq(y, z):
             assert signature_leq(x, z)
+        # tuple order extends dominance: the miner's parent rule rests on it
+        if signature_leq(x, y):
+            assert x <= y
 
 
 def test_shallow_iso_examples():
@@ -181,3 +185,12 @@ def test_common_iff_below_meet():
 
 def test_mct_canonical_key_lists_large_children_first():
     assert canonical_form(tree_from_signature((3, 1)), "unordered") == "((()())())"
+    assert signature_key((3, 1)) == "((()())())"
+    assert signature_key(()) == "()"
+    rng = random.Random(11)
+    for _ in range(500):
+        a = random_signature(rng, 12)
+        b = random_signature(rng, 12)
+        assert signature_key(a) == canonical_form(tree_from_signature(a), "unordered")
+        # a smaller key is a larger tuple
+        assert (signature_key(a) < signature_key(b)) == (a > b)

@@ -141,7 +141,7 @@ def test_tree_stats_examples():
 def test_load_dataset_basics():
     ds = load_dataset(["()", "(())"], "unordered")
     assert len(ds) == 2
-    assert ds.canon_cache == ("()", "(())")
+    assert [serialize_tree(t) for t in ds] == ["()", "(())"]
 
 
 def test_load_dataset_skips_comments_and_blanks():
@@ -164,13 +164,6 @@ def test_load_dataset_reports_line_numbers():
         load_dataset(["()", "((!))"], "unordered")
     assert err.value.line == 2
     assert "line 2" in str(err.value)
-
-
-def test_dataset_canon_cache_matches_mode():
-    ds = Dataset.from_trees([parse_tree("(()(()))")], "ordered")
-    assert ds.canon_cache[0] == "(()(()))"
-    ds = Dataset.from_trees([parse_tree("(()(()))")], "unordered")
-    assert ds.canon_cache[0] == "((())())"
 
 
 def test_mode_validation():
