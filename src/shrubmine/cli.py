@@ -32,10 +32,19 @@ from .trees import Dataset, canonical_form, load_dataset, parse_tree, serialize_
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The whole UTF-8 input at ``path``, or stdin for ``-``."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # one read() of a fresh stream decodes it in a single call, so
+        # exc.start counts bytes from the start of the input
+        name = "<stdin>" if path == "-" else path
+        raise ValueError(
+            f"{name}: not {exc.encoding} text: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        ) from None
 
 
 def _sniff_header(lines: list[str]) -> dict[str, str]:
@@ -79,7 +88,7 @@ def _emit(line: str) -> None:
 def _pattern_lines(args) -> list[str]:
     if getattr(args, "pattern", None) is not None:
         return [args.pattern]
-    return [ln for ln in sys.stdin.read().splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    return [ln for ln in _read_text("-").splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
 
 
 def cmd_mine(args) -> int:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .errors import ConstraintError
@@ -94,7 +95,14 @@ class MiningSummary:
     peak_live_candidates: int = 0
 
 
-def _dataset_signatures(dataset: Dataset) -> list[Signature]:
+@lru_cache(maxsize=8)
+def _dataset_signatures(dataset: Dataset) -> tuple[Signature, ...]:
+    """Validated signatures of the dataset's trees.
+
+    Memoised per dataset value, which is immutable, so the public wrappers
+    can be called per candidate without redoing this.  A failed validation
+    is not memoised and raises on every call.
+    """
     if dataset.mode != "unordered":
         raise ConstraintError("closed mining requires an unordered dataset")
     sigs = []
@@ -102,26 +110,26 @@ def _dataset_signatures(dataset: Dataset) -> list[Signature]:
         if t.height > 2:
             raise ConstraintError(f"dataset tree {i} has height {t.height} > 2")
         sigs.append(signature_of(t))
-    return sigs
+    return tuple(sigs)
 
 
-def _support(psig: Signature, sigs: list[Signature], among: Iterable[int]) -> SupportSet:
+def _support(psig: Signature, sigs: tuple[Signature, ...], among: Iterable[int]) -> SupportSet:
     """The indices in ``among`` whose signature dominates ``psig``."""
     return SupportSet.from_indices(i for i in among if signature_leq(psig, sigs[i]))
 
 
-def _meet(sigs: list[Signature], support: SupportSet) -> Signature:
+def _meet(sigs: tuple[Signature, ...], support: SupportSet) -> Signature:
     return signatures_meet([sigs[i] for i in support.indices])
 
 
-def _locate(pattern: Tree, dataset: Dataset) -> tuple[list[Signature], SearchNode]:
+def _locate(pattern: Tree, dataset: Dataset) -> tuple[tuple[Signature, ...], SearchNode]:
     """Validate ``dataset`` and pair the pattern's signature with its support."""
     sigs = _dataset_signatures(dataset)
     psig = signature_of(pattern)
     return sigs, SearchNode(psig, _support(psig, sigs, range(len(sigs))))
 
 
-def _closed(pattern: Tree, dataset: Dataset) -> tuple[list[Signature], SearchNode, Signature]:
+def _closed(pattern: Tree, dataset: Dataset) -> tuple[tuple[Signature, ...], SearchNode, Signature]:
     """:func:`_locate` plus the closure signature, the meet of the support."""
     sigs, node = _locate(pattern, dataset)
     if node.support.count == 0:
@@ -148,7 +156,7 @@ def is_closed(pattern: Tree, dataset: Dataset) -> bool:
     return node.sig == closed
 
 
-def _parent_sig(node: SearchNode, sigs: list[Signature]) -> Signature:
+def _parent_sig(node: SearchNode, sigs: tuple[Signature, ...]) -> Signature:
     """Parent signature of a closed non-root node (see the module notes)."""
     inside = set(node.support.indices)
     return max(
@@ -181,7 +189,7 @@ def _extensions(sig: Signature) -> list[Signature]:
 
 
 def _neighbor_nodes(
-    node: SearchNode, sigs: list[Signature], theta: int
+    node: SearchNode, sigs: tuple[Signature, ...], theta: int
 ) -> list[SearchNode]:
     """Closures of frequent one-leaf extensions, deduplicated, self excluded."""
     out: list[SearchNode] = []

@@ -1,10 +1,13 @@
 """Exhaustive reference implementations used as test oracles.
 
-Everything here enumerates candidate spaces outright and filters by
-definition; nothing shares code with the matching engine or the signature
-algebra, so these routines can sit on the other side of every equivalence
-test.  Hard size guards refuse inputs beyond desk scale instead of running
-for hours.
+Every pattern occurring in the dataset is enumerated outright; maximality
+and closure are then decided through one-leaf superpatterns alone.  That
+suffices: for any occurring strict superpattern Q of a pattern P, some
+one-leaf extension P' of P is contained in Q, so P' occurs too and has
+support at least that of Q.  Nothing shares code with the matching engine
+or the signature algebra, so these routines can sit on the other side of
+every equivalence test.  Hard size guards refuse inputs beyond desk scale
+instead of running for hours.
 
 A pattern *occurs* in a tree when its root can map onto the tree's root,
 i.e. occurrences are the parent-closed vertex subsets containing the root.
@@ -96,6 +99,31 @@ def _rooted_pattern_keys(tree: Tree, mode: Mode) -> set[str]:
     return set(options[tree.root])
 
 
+def _leaf_deletion_keys(tree: Tree, mode: Mode) -> set[str]:
+    """Encodings of ``tree`` with one non-root leaf removed, one per leaf.
+
+    Only the encodings on the path from the removed leaf to the root change;
+    they are rebuilt bottom up under the same rule as
+    :func:`_rooted_pattern_keys`.
+    """
+    enc = tree.encodings(mode)
+    unordered = mode == "unordered"
+    keys: set[str] = set()
+    for leaf in tree.nodes():
+        if leaf == tree.root or tree.children[leaf]:
+            continue
+        child, child_enc = leaf, ""
+        v = tree.parents[leaf]
+        while v is not None:
+            parts = [child_enc if c == child else enc[c] for c in tree.children[v]]
+            if unordered:
+                parts.sort(key=canon_sort_key, reverse=True)
+            child, child_enc = v, "(" + "".join(parts) + ")"
+            v = tree.parents[v]
+        keys.add(child_enc)
+    return keys
+
+
 @dataclass
 class PatternUniverse:
     """Every pattern occurring in a dataset, keyed by canonical encoding."""
@@ -104,7 +132,6 @@ class PatternUniverse:
     per_tree_keys: tuple[frozenset[str], ...]
     mode: Mode
     _support: dict[str, int] = field(default_factory=dict, repr=False)
-    _subkeys: dict[str, frozenset[str]] = field(default_factory=dict, repr=False)
     _best_super: dict[str, int] | None = field(default=None, repr=False)
 
     def support(self, key: str) -> int:
@@ -114,22 +141,18 @@ class PatternUniverse:
             self._support[key] = cached
         return cached
 
-    def proper_subkeys(self, key: str) -> frozenset[str]:
-        """Keys of every strictly smaller pattern occurring in ``key``."""
-        cached = self._subkeys.get(key)
-        if cached is None:
-            tree = self.patterns[key]
-            cached = frozenset(_rooted_pattern_keys(tree, self.mode)) - {key}
-            self._subkeys[key] = cached
-        return cached
-
     def best_super_support(self) -> dict[str, int]:
-        """For each key, the largest support among its strict superpatterns."""
+        """For each key, the largest support among its strict superpatterns.
+
+        Keys with no occurring superpattern are absent.  The maximum is
+        taken over one-leaf superpatterns only, which reach it (see the
+        module notes).
+        """
         if self._best_super is None:
             best: dict[str, int] = {}
-            for key in self.patterns:
+            for key, tree in self.patterns.items():
                 s = self.support(key)
-                for sub in self.proper_subkeys(key):
+                for sub in _leaf_deletion_keys(tree, self.mode):
                     if best.get(sub, -1) < s:
                         best[sub] = s
             self._best_super = best
@@ -172,12 +195,16 @@ def brute_frequent(
 def brute_maximal(
     dataset: Dataset, theta: int, universe: PatternUniverse | None = None
 ) -> dict[str, Tree]:
-    """Frequent patterns strictly contained in no other frequent pattern."""
+    """Frequent patterns strictly contained in no other frequent pattern.
+
+    A frequent pattern is dominated exactly when it is a leaf deletion of a
+    frequent pattern (see the module notes).
+    """
     u = universe if universe is not None else all_patterns(dataset)
     frequent = brute_frequent(dataset, theta, u)
     dominated: set[str] = set()
-    for key in frequent:
-        dominated.update(u.proper_subkeys(key))
+    for tree in frequent.values():
+        dominated.update(_leaf_deletion_keys(tree, u.mode))
     return {k: t for k, t in frequent.items() if k not in dominated}
 
 
@@ -188,7 +215,9 @@ def brute_closed(
 
     Superpatterns range over occurring patterns only, which is exhaustive
     for theta >= 1: an equal-support superpattern of an occurring pattern
-    occurs in some tree itself.
+    occurs in some tree itself.  Of those, the one-leaf superpatterns
+    decide it, since some one-leaf superpattern always has the largest
+    support (see the module notes).
     """
     u = universe if universe is not None else all_patterns(dataset)
     frequent = brute_frequent(dataset, theta, u)

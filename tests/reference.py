@@ -9,6 +9,7 @@ shapes, isomorphism by trying child permutations outright.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 
@@ -52,6 +53,47 @@ def induced_subtrees(tree: Tree) -> list[tuple[int, frozenset[int]]]:
 def subtree_shapes(tree: Tree, mode: str) -> set:
     """Shapes of every induced subtree of ``tree`` (free root choice)."""
     return {shape_key(tree, r, vs, mode) for r, vs in induced_subtrees(tree)}
+
+
+def root_aligned_shapes(tree: Tree, mode: str) -> set:
+    """Shapes of every parent-closed vertex subset containing the root."""
+    return {shape_key(tree, tree.root, vs, mode) for vs in _subsets_at(tree, tree.root)}
+
+
+def tree_from_shape(shape) -> Tree:
+    """A tree whose shape (read in order) is the nested tuple ``shape``."""
+    children: list[list[int]] = []
+
+    def build(s) -> int:
+        v = len(children)
+        children.append([])
+        children[v] = [build(k) for k in s]
+        return v
+
+    build(shape)
+    return Tree.from_children(children)
+
+
+def definitional_maximal_closed(trees, mode: str) -> dict[int, tuple[set, set]]:
+    """Maximal and closed root-aligned patterns, by shape, for every theta.
+
+    Straight from the definitions: a theta-frequent pattern is maximal when
+    no strict superpattern is theta-frequent, and closed when no strict
+    superpattern has equal support.  Superpatterns range over every
+    occurring pattern, found by enumerating each pattern's own subsets.
+    """
+    support: Counter = Counter(s for t in trees for s in root_aligned_shapes(t, mode))
+    supers: dict = {p: set() for p in support}
+    for q in support:
+        for p in root_aligned_shapes(tree_from_shape(q), mode) - {q}:
+            supers[p].add(q)
+    out = {}
+    for theta in range(1, len(trees) + 1):
+        frequent = {p for p, n in support.items() if n >= theta}
+        maximal = {p for p in frequent if not supers[p] & frequent}
+        closed = {p for p in frequent if all(support[q] < support[p] for q in supers[p])}
+        out[theta] = (maximal, closed)
+    return out
 
 
 def naive_subtree_iso(pattern: Tree, target: Tree, mode: str) -> bool:

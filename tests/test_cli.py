@@ -101,13 +101,20 @@ def test_missing_input_file_exit_code(capsys, tmp_path):
     assert "absent.trees" in err
 
 
-def test_non_utf8_input_exit_code(capsys, tmp_path):
+def test_non_utf8_input_exit_code(capsys, tmp_path, monkeypatch):
+    data = b"# mode=unordered \xe9\n(())\n"
     path = tmp_path / "latin1.trees"
-    path.write_bytes(b"# mode=unordered \xe9\n(())\n")
+    path.write_bytes(data)
     code, out, err = run_cli(capsys, "mine", "closed", "--input", path.as_posix())
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert path.as_posix() in err and "offset 17" in err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, out, err = run_cli(capsys, "mine", "closed", "--input", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: <stdin>: ") and "offset 17" in err
 
 
 def test_mine_output_is_self_consumable(capsys, two_tree_file):

@@ -197,6 +197,13 @@ def test_enumerate_argument_and_constraint_errors():
     ordered = Dataset.from_trees([parse_tree("(())")], "ordered")
     with pytest.raises(ConstraintError):
         enumerate_closed(ordered, MiningConfig(theta=1))
+    # the wrappers memoise the dataset's validation, but never a failed one
+    for bad in (tall, ordered, tall):
+        for call in (closure, is_closed, parent_of, pattern_support):
+            with pytest.raises(ConstraintError):
+                call(parse_tree("()"), bad)
+        with pytest.raises(ConstraintError):
+            neighbors(parse_tree("()"), bad, 1)
 
 
 def test_enumerate_respects_limit():

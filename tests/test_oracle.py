@@ -19,7 +19,7 @@ from shrubmine import (
     signature_of,
 )
 
-from reference import random_h2_dataset
+from reference import definitional_maximal_closed, random_h2_dataset, random_tree, whole_shape
 
 
 def unordered(*texts):
@@ -170,3 +170,25 @@ def test_common_patterns_are_subpatterns_of_the_meet():
         mct = maximal_common_tree(list(ds.trees))
         mct_universe = all_patterns(Dataset.from_trees([mct], "unordered"))
         assert commons == set(mct_universe.patterns)
+
+
+def test_oracles_match_the_definitions():
+    # the oracles look only at one-leaf superpatterns; the reference
+    # compares against every occurring superpattern
+    rng = random.Random(6)
+    for i in range(120):
+        if i % 2:
+            ds = random_h2_dataset(rng, max_trees=5, max_vertices=9)
+        else:
+            trees = [random_tree(rng, rng.randint(1, 7)) for _ in range(rng.randint(1, 5))]
+            ds = Dataset.from_trees(trees, "ordered")
+        u = all_patterns(ds)
+
+        def shapes(found):
+            return {whole_shape(t, ds.mode) for t in found.values()}
+
+        expected = definitional_maximal_closed(ds.trees, ds.mode)
+        for theta, (maximal, closed) in expected.items():
+            assert shapes(brute_maximal(ds, theta, u)) == maximal
+            assert shapes(brute_closed(ds, theta, u)) == closed
+        assert shapes(brute_mct(ds, u)) == expected[len(ds.trees)][0]
