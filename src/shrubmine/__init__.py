@@ -44,7 +44,6 @@ from .signatures import (
     Signature,
     make_signature,
     maximal_common_tree,
-    shallow_subtree_iso,
     signature_leq,
     signature_of,
     signatures_meet,
@@ -54,13 +53,11 @@ from .trees import (
     Dataset,
     Tree,
     TreeBuilder,
-    TreeStats,
     add_leaf,
     canonical_form,
     load_dataset,
     parse_tree,
     serialize_tree,
-    tree_stats,
 )
 
 __all__ = [
@@ -81,7 +78,6 @@ __all__ = [
     "Tree",
     "TreeBuilder",
     "TreeParseError",
-    "TreeStats",
     "add_leaf",
     "all_patterns",
     "brute_closed",
@@ -103,7 +99,6 @@ __all__ = [
     "parse_tree",
     "pattern_support",
     "serialize_tree",
-    "shallow_subtree_iso",
     "signature_leq",
     "signature_of",
     "signatures_meet",
@@ -111,5 +106,4 @@ __all__ = [
     "support_set",
     "tree_equal",
     "tree_from_signature",
-    "tree_stats",
 ]

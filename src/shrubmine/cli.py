@@ -26,25 +26,34 @@ from .gadgets import (
 )
 from .isomorphism import subtree_iso, support_set
 from .mining import MiningConfig, enumerate_closed
-from .oracle import all_patterns, brute_closed, brute_frequent, brute_maximal, brute_mct, brute_mis
+from .oracle import brute_closed, brute_frequent, brute_maximal, brute_mct, brute_mis
 from .signatures import maximal_common_tree
 from .trees import Dataset, canonical_form, load_dataset, parse_tree, serialize_tree
 
 
 def _read_text(path: str) -> str:
-    """The whole UTF-8 input at ``path``, or stdin for ``-``."""
+    """The whole UTF-8 input at ``path``, or stdin for ``-``.
+
+    The bytes are decoded here, strictly, whatever error handler the
+    interpreter gave stdin.
+    """
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # one read() of a fresh stream decodes it in a single call, so
-        # exc.start counts bytes from the start of the input
         name = "<stdin>" if path == "-" else path
         raise ValueError(
-            f"{name}: not {exc.encoding} text: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+            f"{name}: not {exc.encoding} text: byte {data[exc.start]:#04x} at offset {exc.start}"
         ) from None
+
+
+def _data_lines(path: str) -> list[str]:
+    """The lines at ``path`` (``-`` for stdin) that are neither blank nor comments."""
+    return [ln for ln in _read_text(path).splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
 
 
 def _sniff_header(lines: list[str]) -> dict[str, str]:
@@ -88,7 +97,7 @@ def _emit(line: str) -> None:
 def _pattern_lines(args) -> list[str]:
     if getattr(args, "pattern", None) is not None:
         return [args.pattern]
-    return [ln for ln in _read_text("-").splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    return _data_lines("-")
 
 
 def cmd_mine(args) -> int:
@@ -121,13 +130,12 @@ def cmd_oracle(args) -> int:
             _emit(" ".join(map(str, group)))
         return 0
     dataset, header = _load_dataset_arg(args)
-    universe = all_patterns(dataset)
     if args.what == "mct":
-        found = brute_mct(dataset, universe)
+        found = brute_mct(dataset)
     else:
         theta = _resolve_theta(args, header)
         fn = {"frequent": brute_frequent, "closed": brute_closed, "maximal": brute_maximal}[args.what]
-        found = fn(dataset, theta, universe)
+        found = fn(dataset, theta)
     for key in sorted(found):
         _emit(key)
     return 0
@@ -165,14 +173,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    if args.pattern is not None:
-        lines = [args.pattern]
-    else:
-        lines = [
-            ln
-            for ln in _read_text(args.input).splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
+    lines = [args.pattern] if args.pattern is not None else _data_lines(args.input)
     for line in lines:
         _emit(canonical_form(parse_tree(line), args.mode))
     return 0
@@ -198,43 +199,38 @@ def _write_solutions(path: str | None, trees, mode: str) -> None:
             fh.write(canonical_form(t, mode) + "\n")
 
 
-def cmd_gen(args) -> int:
+def _gadget(args):
+    """The gadget instance of kind ``args.kind`` built from ``args.input``."""
+    text = _read_text(args.input)
     if args.kind == "dual":
-        instance = gen_dualization_instance(parse_hypergraph(_read_text(args.input)))
+        return gen_dualization_instance(parse_hypergraph(text))
+    if args.kind == "sat":
+        return sat_gadget(parse_dimacs(text))
+    db = parse_transactions(text)
+    theta = args.theta if args.theta is not None else 1
+    if getattr(args, "solutions", None) is not None:
+        solutions = [frozenset(int(tok) for tok in ln.split()) for ln in _data_lines(args.solutions)]
+    else:
+        solutions = sorted(maximal_frequent_itemsets(db, theta), key=sorted)
+    return gen_itemset_instance(db, solutions, theta)
+
+
+def cmd_gen(args) -> int:
+    instance = _gadget(args)
+    if args.kind == "dual":
         _write_dataset(args.out, instance.dataset, theta=len(instance.dataset))
         _write_solutions(args.solutions_out, [instance.w_tree], "ordered")
     elif args.kind == "sat":
-        instance = sat_gadget(parse_dimacs(_read_text(args.input)))
         _write_dataset(args.out, instance.dataset, theta=instance.theta)
         _write_solutions(args.solutions_out, instance.known_solutions, "unordered")
     else:
-        db = parse_transactions(_read_text(args.input))
-        theta = args.theta if args.theta is not None else 1
-        if args.solutions is not None:
-            solutions = [
-                frozenset(int(tok) for tok in ln.split())
-                for ln in _read_text(args.solutions).splitlines()
-                if ln.strip() and not ln.lstrip().startswith("#")
-            ]
-        else:
-            solutions = sorted(maximal_frequent_itemsets(db, theta), key=sorted)
-        instance = gen_itemset_instance(db, solutions, theta)
-        _write_dataset(args.out, instance.dataset, theta=theta)
+        _write_dataset(args.out, instance.dataset, theta=instance.theta)
         _write_solutions(args.solutions_out, instance.s_set, "ordered")
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.kind == "dual":
-        instance = gen_dualization_instance(parse_hypergraph(_read_text(args.input)))
-    elif args.kind == "sat":
-        instance = sat_gadget(parse_dimacs(_read_text(args.input)))
-    else:
-        db = parse_transactions(_read_text(args.input))
-        theta = args.theta if args.theta is not None else 1
-        solutions = sorted(maximal_frequent_itemsets(db, theta), key=sorted)
-        instance = gen_itemset_instance(db, solutions, theta)
-    report = verify_gadget(args.kind, instance, seed=args.seed, samples=args.samples)
+    report = verify_gadget(args.kind, _gadget(args), seed=args.seed, samples=args.samples)
     for line in report.lines():
         _emit(line)
     return 0 if report.passed else 1
@@ -322,9 +318,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         where = f"{exc.filename}: " if exc.filename else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
-        return 2
-    except TreeParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -329,7 +329,6 @@ class DualGadget:
 
     dataset: Dataset
     n: int
-    m: int
     w_tree: Tree
     hypergraph: Hypergraph
 
@@ -344,6 +343,11 @@ def _leafed_row_tree(children: int, leafed: Iterable[int]) -> Tree:
         if pos not in leafed_set:
             b.add_child(child)
     return b.build()
+
+
+def spare_row_tree(n: int) -> Tree:
+    """The spare tree: ``n - 1`` children, each carrying one leaf."""
+    return _leafed_row_tree(n - 1, [])
 
 
 def edge_tree(edge: Iterable[int], n: int) -> Tree:
@@ -373,14 +377,14 @@ def gen_dualization_instance(h: Hypergraph) -> DualGadget:
         )
     full = _leafed_row_tree(h.n, [])  # every child carries one leaf
     per_edge = [edge_tree(e, h.n) for e in h.edges]
-    w_tree = _leafed_row_tree(h.n - 1, [])
     dataset = Dataset.from_trees([full, *per_edge], "ordered")
-    return DualGadget(dataset, h.n, len(h.edges), w_tree, h)
+    return DualGadget(dataset, h.n, spare_row_tree(h.n), h)
 
 
 def vertexset_to_tree(vertices: Iterable[int], n: int) -> Tree:
-    """Encode a vertex set: root with ``n`` children, the i-th carrying one
-    child exactly when ``i`` is in the set."""
+    """Encode any subset of ``1..n``, a vertex set or an itemset: root with
+    ``n`` ordered children, the i-th carrying one child exactly when ``i``
+    is in the subset."""
     vs = set(vertices)
     if not all(1 <= v <= n for v in vs):
         raise ValueError(f"vertex set {sorted(vs)} leaves the range 1..{n}")
@@ -416,20 +420,6 @@ class ItemsetGadget:
     s_set: tuple[Tree, ...]
     transactions: TransactionDb
     solution_itemsets: tuple[frozenset[int], ...]
-
-
-def itemset_tree(itemset: Iterable[int], n: int) -> Tree:
-    """Root with ``n`` ordered children; the j-th gets a leaf iff j is in
-    the itemset."""
-    items = set(itemset)
-    if not all(1 <= x <= n for x in items):
-        raise ValueError(f"itemset {sorted(items)} leaves the range 1..{n}")
-    return _leafed_row_tree(n, (pos for pos in range(1, n + 1) if pos not in items))
-
-
-def spare_row_tree(n: int) -> Tree:
-    """The spare tree: ``n - 1`` children, each carrying one leaf."""
-    return _leafed_row_tree(n - 1, [])
 
 
 def maximal_frequent_itemsets(
@@ -474,9 +464,9 @@ def gen_itemset_instance(
         if not all(1 <= x <= n for x in s):
             raise ValueError(f"solution itemset {sorted(s)} leaves the range 1..{n}")
     spare = spare_row_tree(n)
-    trees = [itemset_tree(x, n) for x in transactions.itemsets] + [spare] * eta
+    trees = [vertexset_to_tree(x, n) for x in transactions.itemsets] + [spare] * eta
     dataset = Dataset.from_trees(trees, "ordered")
-    s_set = tuple(itemset_tree(y, n) for y in solution_sets) + (spare,)
+    s_set = tuple(vertexset_to_tree(y, n) for y in solution_sets) + (spare,)
     return ItemsetGadget(dataset, n, eta, s_set, transactions, solution_sets)
 
 
@@ -640,7 +630,7 @@ def _verify_itemset(instance: ItemsetGadget) -> VerifyReport:
 
     pool = list(dict.fromkeys(db.itemsets + instance.solution_itemsets))
     embedding_ok = all(
-        subtree_iso(itemset_tree(a, n), itemset_tree(b, n), "ordered") == (a <= b)
+        subtree_iso(vertexset_to_tree(a, n), vertexset_to_tree(b, n), "ordered") == (a <= b)
         for a in pool
         for b in pool
     )
@@ -648,7 +638,7 @@ def _verify_itemset(instance: ItemsetGadget) -> VerifyReport:
 
     spare = spare_row_tree(n)
     spare_ok = all(
-        not subtree_iso(spare, itemset_tree(x, n), "ordered")
+        not subtree_iso(spare, vertexset_to_tree(x, n), "ordered")
         for x in db.itemsets
         if len(x) < n - 1
     )
@@ -668,7 +658,7 @@ def _verify_itemset(instance: ItemsetGadget) -> VerifyReport:
         return VerifyReport("itemset", checks)
     checks.append(_result("no_frequent_itemset_near_full_width", True))
 
-    expected = {canonical_form(itemset_tree(s, n), "ordered") for s in maximal_sets}
+    expected = {canonical_form(vertexset_to_tree(s, n), "ordered") for s in maximal_sets}
     expected.add(canonical_form(spare, "ordered"))
     actual = set(brute_maximal(instance.dataset, instance.theta).keys())
     checks.append(

@@ -8,15 +8,15 @@ child lists: injectively via maximum bipartite matching in unordered mode,
 and by greedy order-preserving subsequence matching in ordered mode.
 
 Results for a (pattern node, target node) pair depend only on the two
-subtree shapes, so each query memoizes on interned shape ids.  No state
-survives a query.
+subtree shapes, so each query memoizes on the pair of subtree encodings
+the trees already cache.  No state survives a query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trees import Dataset, Mode, Tree, canonical_form, check_mode
+from .trees import Dataset, Mode, Tree, canonical_form
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,12 @@ class _Embedder:
     """One containment query; holds the per-query shape memo."""
 
     def __init__(self, pattern: Tree, target: Tree, mode: Mode):
-        check_mode(mode)
         self.pattern = pattern
         self.target = target
         self.ordered = mode == "ordered"
-        ids: dict[str, int] = {}
-        self.pshape = [ids.setdefault(e, len(ids)) for e in pattern.encodings(mode)]
-        self.tshape = [ids.setdefault(e, len(ids)) for e in target.encodings(mode)]
-        self.memo: dict[tuple[int, int], bool] = {}
+        self.pshape = pattern.encodings(mode)
+        self.tshape = target.encodings(mode)
+        self.memo: dict[tuple[str, str], bool] = {}
 
     def embeds_at(self, p: int, t: int) -> bool:
         """Can the pattern subtree at ``p`` embed with ``p`` mapped to ``t``?"""

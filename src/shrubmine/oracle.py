@@ -19,10 +19,10 @@ the isomorphism module has its own independent oracle in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SizeGuardError
-from .trees import Dataset, Mode, Tree, canon_sort_key, check_mode, parse_tree
+from .trees import Dataset, Mode, Tree, check_mode, join_encodings, parse_tree
 
 #: Refuse to enumerate a tree with more root-aligned occurrences than this.
 MAX_PATTERNS_PER_TREE = 200_000
@@ -75,10 +75,8 @@ def _rooted_pattern_keys(tree: Tree, mode: Mode) -> set[str]:
     """Encodings of every parent-closed subset of ``tree`` containing its root.
 
     For each node, every combination of (child absent | child present with
-    one of its own combinations) is spelled out, sorting sibling parts
-    canonically in unordered mode.
+    one of its own combinations) is spelled out.
     """
-    unordered = mode == "unordered"
     options: list[list[str]] = [[] for _ in tree.nodes()]
     for v in tree._deepest_first:
         combos: list[tuple[str, ...]] = [()]
@@ -89,13 +87,7 @@ def _rooted_pattern_keys(tree: Tree, mode: Mode) -> set[str]:
                 for enc in options[c]:
                     extended.append(base + (enc,))
             combos = extended
-        if unordered:
-            options[v] = [
-                "(" + "".join(sorted(parts, key=canon_sort_key, reverse=True)) + ")"
-                for parts in combos
-            ]
-        else:
-            options[v] = ["(" + "".join(parts) + ")" for parts in combos]
+        options[v] = [join_encodings(parts, mode) for parts in combos]
     return set(options[tree.root])
 
 
@@ -103,11 +95,9 @@ def _leaf_deletion_keys(tree: Tree, mode: Mode) -> set[str]:
     """Encodings of ``tree`` with one non-root leaf removed, one per leaf.
 
     Only the encodings on the path from the removed leaf to the root change;
-    they are rebuilt bottom up under the same rule as
-    :func:`_rooted_pattern_keys`.
+    they are rebuilt bottom up.
     """
     enc = tree.encodings(mode)
-    unordered = mode == "unordered"
     keys: set[str] = set()
     for leaf in tree.nodes():
         if leaf == tree.root or tree.children[leaf]:
@@ -116,30 +106,23 @@ def _leaf_deletion_keys(tree: Tree, mode: Mode) -> set[str]:
         v = tree.parents[leaf]
         while v is not None:
             parts = [child_enc if c == child else enc[c] for c in tree.children[v]]
-            if unordered:
-                parts.sort(key=canon_sort_key, reverse=True)
-            child, child_enc = v, "(" + "".join(parts) + ")"
+            child, child_enc = v, join_encodings(parts, mode)
             v = tree.parents[v]
         keys.add(child_enc)
     return keys
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatternUniverse:
-    """Every pattern occurring in a dataset, keyed by canonical encoding."""
+    """Every pattern occurring in a dataset, keyed by canonical encoding.
+
+    ``support[key]`` is the number of dataset trees (duplicates counted
+    separately) in which the pattern occurs root aligned.
+    """
 
     patterns: dict[str, Tree]
-    per_tree_keys: tuple[frozenset[str], ...]
+    support: dict[str, int]
     mode: Mode
-    _support: dict[str, int] = field(default_factory=dict, repr=False)
-    _best_super: dict[str, int] | None = field(default=None, repr=False)
-
-    def support(self, key: str) -> int:
-        cached = self._support.get(key)
-        if cached is None:
-            cached = sum(1 for keys in self.per_tree_keys if key in keys)
-            self._support[key] = cached
-        return cached
 
     def best_super_support(self) -> dict[str, int]:
         """For each key, the largest support among its strict superpatterns.
@@ -148,15 +131,13 @@ class PatternUniverse:
         taken over one-leaf superpatterns only, which reach it (see the
         module notes).
         """
-        if self._best_super is None:
-            best: dict[str, int] = {}
-            for key, tree in self.patterns.items():
-                s = self.support(key)
-                for sub in _leaf_deletion_keys(tree, self.mode):
-                    if best.get(sub, -1) < s:
-                        best[sub] = s
-            self._best_super = best
-        return self._best_super
+        best: dict[str, int] = {}
+        for key, tree in self.patterns.items():
+            s = self.support[key]
+            for sub in _leaf_deletion_keys(tree, self.mode):
+                if best.get(sub, -1) < s:
+                    best[sub] = s
+        return best
 
 
 def all_patterns(
@@ -166,16 +147,17 @@ def all_patterns(
 ) -> PatternUniverse:
     """Enumerate every pattern occurring in the dataset, root aligned."""
     check_mode(dataset.mode)
-    per_tree: list[frozenset[str]] = []
     patterns: dict[str, Tree] = {}
+    support: dict[str, int] = {}
     for i, tree in enumerate(dataset.trees):
         _guard_tree(tree, f"dataset tree {i}", max_patterns, max_vertices)
-        keys = _rooted_pattern_keys(tree, dataset.mode)
-        per_tree.append(frozenset(keys))
-        for key in keys:
-            if key not in patterns:
+        for key in _rooted_pattern_keys(tree, dataset.mode):
+            if key in patterns:
+                support[key] += 1
+            else:
                 patterns[key] = parse_tree(key)
-    return PatternUniverse(patterns, tuple(per_tree), dataset.mode)
+                support[key] = 1
+    return PatternUniverse(patterns, support, dataset.mode)
 
 
 def _check_theta(theta: int) -> None:
@@ -189,7 +171,7 @@ def brute_frequent(
     """All patterns with support at least ``theta``, keyed canonically."""
     _check_theta(theta)
     u = universe if universe is not None else all_patterns(dataset)
-    return {k: t for k, t in u.patterns.items() if u.support(k) >= theta}
+    return {k: t for k, t in u.patterns.items() if u.support[k] >= theta}
 
 
 def brute_maximal(
@@ -223,7 +205,7 @@ def brute_closed(
     frequent = brute_frequent(dataset, theta, u)
     best_super = u.best_super_support()
     return {
-        k: t for k, t in frequent.items() if u.support(k) > best_super.get(k, -1)
+        k: t for k, t in frequent.items() if u.support[k] > best_super.get(k, -1)
     }
 
 

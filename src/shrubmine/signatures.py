@@ -12,7 +12,7 @@ cheap to compute.
 from __future__ import annotations
 
 from .errors import ConstraintError
-from .trees import Tree, TreeBuilder, tree_stats
+from .trees import Tree, TreeBuilder
 
 Signature = tuple[int, ...]
 
@@ -25,14 +25,10 @@ def make_signature(entries) -> Signature:
     return sig
 
 
-def _require_shallow(t: Tree, what: str = "tree") -> None:
-    if t.height > 2:
-        raise ConstraintError(f"{what} has height {t.height} > 2")
-
-
 def signature_of(t: Tree) -> Signature:
     """Signature of a height-<=2 tree: one entry ``child_count+1`` per root child."""
-    _require_shallow(t)
+    if t.height > 2:
+        raise ConstraintError(f"tree has height {t.height} > 2")
     return make_signature(len(t.children[c]) + 1 for c in t.children[t.root])
 
 
@@ -70,27 +66,6 @@ def signature_leq(x: Signature, y: Signature) -> bool:
     if len(x) > len(y):
         return False
     return all(a <= b for a, b in zip(x, y))
-
-
-def shallow_subtree_iso(pattern: Tree, target: Tree) -> bool:
-    """Unordered subtree containment decided through signatures.
-
-    Both trees must have height <= 2.  Agrees with the generic embedding
-    engine on this domain: height-2 against height-2 is signature
-    dominance, a star embeds wherever some vertex has enough children, and
-    a single vertex embeds everywhere.
-    """
-    _require_shallow(pattern, "pattern")
-    _require_shallow(target, "target")
-    hp = pattern.height
-    if hp == 0:
-        return True
-    if hp == 1:
-        wanted = len(pattern.children[pattern.root])
-        return tree_stats(target).max_child_count >= wanted
-    if target.height < 2:
-        return False
-    return signature_leq(signature_of(pattern), signature_of(target))
 
 
 def signatures_meet(sigs: list[Signature] | tuple[Signature, ...]) -> Signature:

@@ -33,9 +33,20 @@ def check_mode(mode: str) -> Mode:
     return mode  # type: ignore[return-value]
 
 
-def canon_sort_key(encoding: str) -> str:
+def _child_order_key(encoding: str) -> str:
     """Sort key under which child encodings are ordered (descending)."""
     return encoding.translate(_CANON_RANK)
+
+
+def join_encodings(parts: Iterable[str], mode: Mode) -> str:
+    """Encoding of a node whose children encode as ``parts``, in order.
+
+    Unordered mode first sorts the parts into canonical child order, so
+    isomorphic subtrees always spell the same.
+    """
+    if mode == "unordered":
+        parts = sorted(parts, key=_child_order_key, reverse=True)
+    return "(" + "".join(parts) + ")"
 
 
 @dataclass(frozen=True)
@@ -130,17 +141,16 @@ class Tree:
 
     @cached_property
     def _ordered_encodings(self) -> tuple[str, ...]:
-        enc: list[str] = [""] * self.size
-        for v in self._deepest_first:
-            enc[v] = "(" + "".join(enc[c] for c in self.children[v]) + ")"
-        return tuple(enc)
+        return self._encode("ordered")
 
     @cached_property
     def _unordered_encodings(self) -> tuple[str, ...]:
+        return self._encode("unordered")
+
+    def _encode(self, mode: Mode) -> tuple[str, ...]:
         enc: list[str] = [""] * self.size
         for v in self._deepest_first:
-            parts = sorted((enc[c] for c in self.children[v]), key=canon_sort_key, reverse=True)
-            enc[v] = "(" + "".join(parts) + ")"
+            enc[v] = join_encodings([enc[c] for c in self.children[v]], mode)
         return tuple(enc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -239,21 +249,6 @@ def add_leaf(t: Tree, v: int) -> Tree:
         t.children[u] + (new,) if u == v else t.children[u] for u in t.nodes()
     ) + ((),)
     return Tree(parents, children, t.root)
-
-
-@dataclass(frozen=True)
-class TreeStats:
-    height: int
-    vertex_count: int
-    max_child_count: int
-
-
-def tree_stats(t: Tree) -> TreeStats:
-    return TreeStats(
-        height=t.height,
-        vertex_count=t.size,
-        max_child_count=max(len(t.children[v]) for v in t.nodes()),
-    )
 
 
 @dataclass(frozen=True)

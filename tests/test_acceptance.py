@@ -32,7 +32,6 @@ from shrubmine.gadgets import (
     TransactionDb,
     gen_dualization_instance,
     gen_itemset_instance,
-    itemset_tree,
     maximal_frequent_itemsets,
     sat_gadget,
     spare_row_tree,
@@ -284,7 +283,7 @@ def test_criterion_8_itemset_gadget_correspondence():
     pairs = 0
     for a in subsets:
         for b in subsets:
-            assert subtree_iso(itemset_tree(a, n), itemset_tree(b, n), "ordered") == (
+            assert subtree_iso(vertexset_to_tree(a, n), vertexset_to_tree(b, n), "ordered") == (
                 a <= b
             )
             pairs += 1
@@ -304,7 +303,7 @@ def test_criterion_8_itemset_gadget_correspondence():
             continue
         inst = gen_itemset_instance(db, sorted(maximal_sets, key=sorted), eta)
         expected = {
-            canonical_form(itemset_tree(s, items), "ordered") for s in maximal_sets
+            canonical_form(vertexset_to_tree(s, items), "ordered") for s in maximal_sets
         }
         expected.add(canonical_form(spare_row_tree(items), "ordered"))
         actual = set(brute_maximal(inst.dataset, eta).keys())

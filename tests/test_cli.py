@@ -12,7 +12,7 @@ from shrubmine.gadgets import format_dimacs
 def run_cli(capsys, *argv, stdin: str | None = None):
     if stdin is not None:
         old = sys.stdin
-        sys.stdin = io.StringIO(stdin)
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")), encoding="utf-8")
         try:
             code = main(list(argv))
         finally:
@@ -110,11 +110,14 @@ def test_non_utf8_input_exit_code(capsys, tmp_path, monkeypatch):
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert path.as_posix() in err and "offset 17" in err
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-    code, out, err = run_cli(capsys, "mine", "closed", "--input", "-")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: <stdin>: ") and "offset 17" in err
+    # a C/POSIX locale gives stdin the surrogateescape handler
+    for errors in ("strict", "surrogateescape"):
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(capsys, "mine", "closed", "--input", "-")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: <stdin>: ") and "offset 17" in err
 
 
 def test_mine_output_is_self_consumable(capsys, two_tree_file):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from shrubmine import ConstraintError, FormatError, Hypergraph, serialize_tree, subtree_iso, tree_stats
+from shrubmine import ConstraintError, FormatError, Hypergraph, serialize_tree, subtree_iso
 from shrubmine.gadgets import (
     CnfFormula,
     TransactionDb,
@@ -13,7 +13,6 @@ from shrubmine.gadgets import (
     format_dimacs,
     gen_dualization_instance,
     gen_itemset_instance,
-    itemset_tree,
     marker_bundle_tree,
     maximal_frequent_itemsets,
     parse_dimacs,
@@ -289,7 +288,7 @@ def test_subset_containment_lemma_exhaustive():
 
 
 def test_itemset_tree_shape():
-    t = itemset_tree({1, 3}, 3)
+    t = vertexset_to_tree({1, 3}, 3)
     kids = t.children[t.root]
     assert len(kids) == 3
     has_leaf = [len(t.children[c]) for c in kids]
@@ -301,7 +300,7 @@ def test_itemset_order_embedding_exhaustive_small():
     subsets = list(all_subsets(range(1, n + 1)))
     for a in subsets:
         for b in subsets:
-            assert subtree_iso(itemset_tree(a, n), itemset_tree(b, n), "ordered") == (
+            assert subtree_iso(vertexset_to_tree(a, n), vertexset_to_tree(b, n), "ordered") == (
                 a <= b
             )
 
@@ -309,13 +308,13 @@ def test_itemset_order_embedding_exhaustive_small():
 def test_spare_tree_needs_wide_transactions():
     n = 5
     spare = spare_row_tree(n)
-    assert tree_stats(spare).vertex_count == 2 * (n - 1) + 1
+    assert spare.size == 2 * (n - 1) + 1
     rng = random.Random(3)
     for _ in range(40):
         x = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n - 2)))
-        assert not subtree_iso(spare, itemset_tree(x, n), "ordered")
+        assert not subtree_iso(spare, vertexset_to_tree(x, n), "ordered")
     wide = frozenset(range(1, n))
-    assert subtree_iso(spare, itemset_tree(wide, n), "ordered")
+    assert subtree_iso(spare, vertexset_to_tree(wide, n), "ordered")
 
 
 def test_maximal_frequent_itemsets_brute():

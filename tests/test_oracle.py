@@ -34,8 +34,8 @@ def test_all_patterns_examples():
 
 def test_all_patterns_counts_multiset_support():
     u = all_patterns(unordered("(())", "(())"))
-    assert u.support("(())") == 2
-    assert u.support("()") == 2
+    assert u.support["(())"] == 2
+    assert u.support["()"] == 2
 
 
 def test_size_guard_refuses_wide_trees():

@@ -10,7 +10,6 @@ from shrubmine import (
     maximal_common_tree,
     parse_tree,
     serialize_tree,
-    shallow_subtree_iso,
     signature_leq,
     signature_of,
     signatures_meet,
@@ -106,25 +105,6 @@ def test_partial_order_laws():
         # tuple order extends dominance: the miner's parent rule rests on it
         if signature_leq(x, y):
             assert x <= y
-
-
-def test_shallow_iso_examples():
-    assert shallow_subtree_iso(tree_from_signature((2, 2)), tree_from_signature((3, 2)))
-    # a 2-leaf star slips below the root of the (3) tree
-    star2 = parse_tree("(()())")
-    assert shallow_subtree_iso(star2, tree_from_signature((3,)))
-    assert not signature_leq(signature_of(star2), (3,))
-    assert not shallow_subtree_iso(tree_from_signature((2,)), parse_tree("(()()()()())"))
-    with pytest.raises(ConstraintError):
-        shallow_subtree_iso(parse_tree("(((())))"), star2)
-
-
-def test_shallow_iso_agrees_with_engine():
-    rng = random.Random(6)
-    for _ in range(1000):
-        a = random_h2_tree(rng, 10)
-        b = random_h2_tree(rng, 10)
-        assert shallow_subtree_iso(a, b) == subtree_iso(a, b, "unordered")
 
 
 def test_engine_matches_dominance_on_exact_height_two():

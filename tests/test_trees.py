@@ -11,7 +11,6 @@ from shrubmine import (
     load_dataset,
     parse_tree,
     serialize_tree,
-    tree_stats,
 )
 
 from reference import naive_tree_iso, random_tree
@@ -125,17 +124,6 @@ def test_add_leaf_counts_and_immutability():
         assert grown.parents[: t.size] == t.parents
     with pytest.raises(ValueError):
         add_leaf(t, t.size + 5)
-
-
-def test_tree_stats_examples():
-    assert tree_stats(parse_tree("()")) == tree_stats(parse_tree("()"))
-    s = tree_stats(parse_tree("()"))
-    assert (s.height, s.vertex_count, s.max_child_count) == (0, 1, 0)
-    s = tree_stats(parse_tree("((())(()))"))
-    assert (s.height, s.vertex_count, s.max_child_count) == (2, 5, 2)
-    star = parse_tree("(" + "()" * 6 + ")")
-    s = tree_stats(star)
-    assert (s.height, s.vertex_count, s.max_child_count) == (1, 7, 6)
 
 
 def test_load_dataset_basics():
