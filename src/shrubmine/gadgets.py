@@ -365,8 +365,15 @@ def gen_dualization_instance(h: Hypergraph) -> DualGadget:
     maximal independent sets plus the spare tree.
 
     Refuses hypergraphs with a vertex lying in every edge; peel such
-    vertices off first (each one splits off independently).
+    vertices off first (each one splits off independently).  Refuses
+    hypergraphs without vertices too: their spare tree would be the tree of
+    the empty independent set.
     """
+    if h.n == 0:
+        raise ConstraintError(
+            "the hypergraph has no vertices, so its spare tree would equal the "
+            "tree of the empty independent set"
+        )
     universal = [
         v for v in range(1, h.n + 1) if all(v in e for e in h.edges) or not h.edges
     ]

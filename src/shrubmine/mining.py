@@ -15,8 +15,8 @@ common trees appear, and closures stop being well defined.  The dataset
 The search walks an implicit forest over the closed frequent patterns
 rooted at the closure of the whole dataset.  Every solution is emitted
 exactly once, depth first, with working memory bounded by the parent-chain
-depth times the pattern size (never by the number of solutions), so no
-visited set is kept.
+depth times one frame (a node, its row counts and its pending candidates),
+never by the number of solutions, so no visited set is kept.
 
 Parent rule: for a closed non-root pattern P, the parent is the closure of
 the support of P extended by one more dataset tree, chosen so that the
@@ -32,9 +32,40 @@ candidate instead can strand solutions (in {(2,2), (3,1), (1,1)} the
 pattern (2,2) would become unreachable).
 
 The search state is a signature plus its support; trees are built only from
-the dataset on input and for the patterns handed back to callers.  An
-extension's supporters are among its parent's, so only the parent's support
-is scanned ("occurrence deliver", as in Uno, Kiyomi and Arimura, LCM ver. 2).
+the dataset on input and for the patterns handed back to callers.  Below,
+signatures are padded with zeros, so dominance is the pointwise order, the
+meet is the pointwise minimum, and the tuple order is the lexicographic
+order of the padded entries (the entries are positive).
+
+One-row supports.  A one-leaf extension of n adds one cell in a single row
+r: a new root child (r = len(n)) or one more leaf under the first child of
+a run of equal entries (the rest give the same signature; leaves at depth 2
+cannot take a child in the height-2 universe).  An extension's supporters
+are among n's, so only n's support is scanned ("occurrence deliver", as in
+Uno, Kiyomi and Arimura, LCM ver. 2), and a supporter s of n, already
+pointwise at least n, supports the extension exactly when s[r] > n[r].
+
+Row counts.  The search never computes a candidate's parent; it only
+decides whether the emitting node n is that parent.  Let cnt[i] count the
+dataset signatures s with s[k] >= n[k] for every k < i and s[i] > n[i],
+one pass over the dataset per emitted node.  A
+candidate c with support C (the closure of a one-leaf extension of n, so c
+is pointwise at least n and differs from it) has parent n exactly when
+cnt[i] == |C| at every row i where c[i] > n[i].  Sketch:
+
+- meet(c, s) is tuple-larger than n iff s counts at some row where c
+  exceeds n: the meet's first difference from n is such a row, and
+  conversely at such a row i the meet exceeds n[i] while every earlier row
+  holds at least n's entry;
+- every supporter s of c counts at every such row i, as s >= c >= n on
+  every row and s[i] >= c[i] > n[i];
+- the trees of supp(n) outside C, never none since c != n, give meets that
+  dominate n, so the largest candidate meet is never below n.
+
+So the largest meet is n exactly when no tree outside C counts at a row
+where c exceeds n, which costs O(d) per candidate instead of one meet with
+every tree outside its support.  :func:`parent_of` still computes the
+parent itself, since it must name it.
 """
 
 from __future__ import annotations
@@ -176,26 +207,54 @@ def parent_of(pattern: Tree, dataset: Dataset) -> Tree:
     return tree_from_signature(_parent_sig(SearchNode(closed, node.support), sigs))
 
 
-def _extensions(sig: Signature) -> list[Signature]:
-    """One-leaf extensions: a new root child first, then one more leaf under
-    the first child of each run of equal entries (the rest give the same
-    signature).  Leaves at depth 2 cannot take a child in the height-2
-    universe."""
-    out = [sig + (1,)]
-    for i, x in enumerate(sig):
-        if i == 0 or x != sig[i - 1]:
-            out.append(sig[:i] + (x + 1,) + sig[i + 1 :])
-    return out
+def _row_counts(sig: Signature, sigs: tuple[Signature, ...]) -> list[int]:
+    """``cnt[i]``: dataset signatures at least ``sig`` on every row before
+    ``i`` and wider than it in row ``i`` (zero padded; see the module notes)."""
+    width = max(map(len, sigs))
+    padded = sig + (0,) * (width - len(sig))
+    cnt = [0] * width
+    for s in sigs:
+        for i, x in enumerate(s):
+            y = padded[i]
+            if x > y:
+                cnt[i] += 1
+            elif x < y:
+                break
+    return cnt
+
+
+def _is_parent(sig: Signature, counts: list[int], child: SearchNode) -> bool:
+    """Whether ``sig`` is the parent of ``child``, a closure of one of its
+    one-leaf extensions, given ``counts == _row_counts(sig, sigs)``."""
+    padded = sig + (0,) * (len(child.sig) - len(sig))
+    k = child.support.count
+    return all(counts[i] == k for i, (x, y) in enumerate(zip(child.sig, padded)) if x > y)
+
+
+def _corner_rows(sig: Signature) -> list[int]:
+    """Rows that take one more cell and stay a signature: a new root child
+    first, then the first row of each run of equal entries."""
+    return [len(sig)] + [i for i, x in enumerate(sig) if i == 0 or x != sig[i - 1]]
+
+
+def _row_support(node: SearchNode, sigs: tuple[Signature, ...], row: int) -> SupportSet:
+    """Support of ``node.sig`` plus one cell in ``row``: the supporters of
+    ``node`` wider than it in that row (see the module notes)."""
+    cells = node.sig[row] if row < len(node.sig) else 0
+    return SupportSet.from_indices(
+        i for i in node.support.indices if len(sigs[i]) > row and sigs[i][row] > cells
+    )
 
 
 def _neighbor_nodes(
     node: SearchNode, sigs: tuple[Signature, ...], theta: int
 ) -> list[SearchNode]:
-    """Closures of frequent one-leaf extensions, deduplicated, self excluded."""
+    """Closures of frequent one-leaf extensions, in :func:`_corner_rows`
+    order, deduplicated, self excluded."""
     out: list[SearchNode] = []
     seen = {node.sig}
-    for ext in _extensions(node.sig):
-        sup = _support(ext, sigs, node.support.indices)
+    for row in _corner_rows(node.sig):
+        sup = _row_support(node, sigs, row)
         if sup.count < theta:
             continue
         closed = _meet(sigs, sup)
@@ -252,31 +311,32 @@ def enumerate_closed(
     if not emit(root):
         return summary
 
-    def pending_for(node: SearchNode) -> list[SearchNode]:
+    def frame(node: SearchNode) -> tuple[SearchNode, list[int], list[SearchNode]]:
         # reversed so that pop() walks neighbors in their generation order
-        return list(reversed(_neighbor_nodes(node, sigs, config.theta)))
+        pending = list(reversed(_neighbor_nodes(node, sigs, config.theta)))
+        return node, _row_counts(node.sig, sigs), pending
 
-    # Each frame is (node, pending neighbor nodes); a child is expanded only
-    # when its parent rule points back at the emitting node, which visits
-    # every solution exactly once without remembering emitted keys.
-    stack: list[tuple[SearchNode, list[SearchNode]]] = [(root, pending_for(root))]
-    live = len(stack[0][1])
+    # Each frame is (node, its row counts, pending neighbor nodes); a child
+    # is expanded only when the frame's node is its parent, decided from the
+    # row counts, which visits every solution exactly once without
+    # remembering emitted keys.
+    stack = [frame(root)]
+    live = len(stack[0][2])
     summary.peak_stack_depth = 1
     summary.peak_live_candidates = live
     while stack:
-        node, pending = stack[-1]
+        node, counts, pending = stack[-1]
         if not pending:
             stack.pop()
             continue
         child = pending.pop()
         live -= 1
-        if _parent_sig(child, sigs) != node.sig:
+        if not _is_parent(node.sig, counts, child):
             continue
         if not emit(child):
             return summary
-        grandchildren = pending_for(child)
-        stack.append((child, grandchildren))
-        live += len(grandchildren)
+        stack.append(frame(child))
+        live += len(stack[-1][2])
         summary.peak_stack_depth = max(summary.peak_stack_depth, len(stack))
         summary.peak_live_candidates = max(summary.peak_live_candidates, live)
     return summary

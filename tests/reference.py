@@ -202,6 +202,29 @@ def partitions(total: int, cap: int | None = None):
             yield (first,) + rest
 
 
+def random_shrub_signatures(
+    rng: random.Random, n: int, width: int, fanout: int, dup: float
+) -> list[tuple[int, ...]]:
+    """``n`` height-<=2 signatures, duplicate heavy: with probability ``dup``
+    an earlier one repeats, otherwise 1..``width`` root children each carry
+    0..``fanout`` leaves."""
+    out: list[tuple[int, ...]] = []
+    for _ in range(n):
+        if out and rng.random() < dup:
+            out.append(rng.choice(out))
+        else:
+            kids = [1 + rng.randint(0, fanout) for _ in range(rng.randint(1, width))]
+            out.append(tuple(sorted(kids, reverse=True)))
+    return out
+
+
+def shuffled_children(rng: random.Random, tree: Tree) -> Tree:
+    """The same unordered tree with every vertex's children in random order."""
+    return Tree.from_children(
+        [rng.sample(kids, len(kids)) for kids in tree.children], tree.root
+    )
+
+
 def random_h2_tree(rng: random.Random, max_vertices: int = 12) -> Tree:
     """Uniform-ish random tree of height <= 2 with at most max_vertices."""
     return tree_from_signature(random_signature(rng, rng.randint(0, max_vertices - 1)))

@@ -244,6 +244,17 @@ def test_gen_dual_universal_vertex_exit_code(capsys, tmp_path):
     assert "every hyperedge" in err
 
 
+def test_dual_without_vertices_exit_code(capsys, tmp_path):
+    hg = tmp_path / "h.hg"
+    hg.write_text("0 0\n")
+    for cmd in ("gen", "verify"):
+        code, out, err = run_cli(capsys, cmd, "dual", "--input", hg.as_posix())
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "no vertices" in err
+        assert err.count("\n") == 1
+
+
 def test_gen_sat_then_mineable_header(capsys, tmp_path):
     cnf_path = tmp_path / "f.cnf"
     cnf_path.write_text(format_dimacs(cyclic_34_cnf()))

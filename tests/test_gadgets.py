@@ -253,6 +253,8 @@ def test_dualization_rejects_universal_vertex():
         gen_dualization_instance(Hypergraph.from_edges(3, [{1, 2}, {1, 3}]))
     with pytest.raises(ConstraintError):
         gen_dualization_instance(Hypergraph.from_edges(3, []))
+    with pytest.raises(ConstraintError):
+        gen_dualization_instance(Hypergraph.from_edges(0, []))
 
 
 def test_verify_dual_example_counts():

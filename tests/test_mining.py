@@ -9,6 +9,8 @@ from shrubmine import (
     EmptySupportError,
     MiningConfig,
     RootPatternError,
+    SearchNode,
+    SupportSet,
     all_patterns,
     brute_closed,
     canonical_form,
@@ -23,11 +25,27 @@ from shrubmine import (
     serialize_tree,
     signature_leq,
     signature_of,
+    signatures_meet,
     tree_equal,
     tree_from_signature,
 )
+from shrubmine.mining import (
+    _corner_rows,
+    _dataset_signatures,
+    _is_parent,
+    _neighbor_nodes,
+    _parent_sig,
+    _row_counts,
+    _row_support,
+    _support,
+)
 
-from reference import partitions, random_h2_dataset
+from reference import (
+    partitions,
+    random_h2_dataset,
+    random_shrub_signatures,
+    shuffled_children,
+)
 
 
 def sig_dataset(*sigs):
@@ -288,3 +306,71 @@ def test_emission_order_is_pinned():
     assert stream_crc(sig_dataset(*sigs), [1]) == (120, 2944552256)
     ds = random_h2_dataset(random.Random(10), min_trees=10, max_trees=10, max_vertices=16)
     assert stream_crc(ds, range(1, len(ds.trees) + 1)) == (72, 4261327507)
+
+
+def _row_rule_cases():
+    rng = random.Random(11)
+    for _ in range(60):
+        yield random_shrub_signatures(rng, rng.randint(1, 12), width=4, fanout=3, dup=0.5)
+    sigs = [sig for total in range(1, 9) for sig in partitions(total)]
+    for _ in range(20):
+        rng.shuffle(sigs)
+        yield sigs[: rng.randint(1, 40)]
+
+
+def test_row_rules_match_meet_and_dominance():
+    # Walks every closed theta-frequent node through one-leaf extensions,
+    # with a visited set instead of the parent rule, and checks the miner's
+    # two shortcuts on every extension and candidate against their
+    # definitions: the row-count parent decision against the tuple-largest
+    # meet, and the one-row support filter against dominance.
+    decided = 0
+    for case in _row_rule_cases():
+        sigs = _dataset_signatures(sig_dataset(*case))
+        root = SearchNode(signatures_meet(sigs), SupportSet.from_indices(range(len(sigs))))
+        for theta in range(1, len(sigs) + 1):
+            todo, seen = [root], {root.sig}
+            while todo:
+                node = todo.pop()
+                padded = node.sig + (0,)
+                for row in _corner_rows(node.sig):
+                    ext = padded[:row] + (padded[row] + 1,) + node.sig[row + 1 :]
+                    assert _row_support(node, sigs, row) == _support(
+                        ext, sigs, node.support.indices
+                    )
+                counts = _row_counts(node.sig, sigs)
+                for child in _neighbor_nodes(node, sigs, theta):
+                    is_parent = _parent_sig(child, sigs) == node.sig
+                    assert _is_parent(node.sig, counts, child) == is_parent
+                    decided += 1
+                    if child.sig not in seen:
+                        seen.add(child.sig)
+                        todo.append(child)
+    assert decided > 5000
+
+
+def test_stream_ignores_tree_and_child_order():
+    # The emission order depends on the dataset only as a multiset of
+    # unordered trees: shuffling the trees and every vertex's children
+    # leaves the canon stream, the support sizes and the summary unchanged.
+    rng = random.Random(12)
+    cases = [random_h2_dataset(rng, max_trees=8) for _ in range(40)]
+    cases += [
+        sig_dataset(*random_shrub_signatures(rng, 12, width=4, fanout=3, dup=0.5))
+        for _ in range(10)
+    ]
+    for ds in cases:
+        for _ in range(3):
+            trees = [shuffled_children(rng, t) for t in ds.trees]
+            rng.shuffle(trees)
+            shuffled = Dataset.from_trees(trees, "unordered")
+            for theta in range(1, len(trees) + 1):
+                (a, sa), (b, sb) = mine(ds, theta), mine(shuffled, theta)
+                assert [(n.canon, n.support.count) for n in a] == [
+                    (n.canon, n.support.count) for n in b
+                ]
+                assert (sa.count, sa.peak_stack_depth, sa.peak_live_candidates) == (
+                    sb.count,
+                    sb.peak_stack_depth,
+                    sb.peak_live_candidates,
+                )
