@@ -14,21 +14,10 @@ import sys
 from typing import Sequence
 
 from .errors import ConstraintError, SizeGuardError, TreeParseError
-from .gadgets import (
-    gen_dualization_instance,
-    gen_itemset_instance,
-    maximal_frequent_itemsets,
-    parse_dimacs,
-    parse_hypergraph,
-    parse_transactions,
-    sat_gadget,
-    verify_gadget,
-)
-from .isomorphism import subtree_iso, support_set
-from .mining import MiningConfig, enumerate_closed
-from .oracle import brute_closed, brute_frequent, brute_maximal, brute_mct, brute_mis
-from .signatures import maximal_common_tree
 from .trees import Dataset, canonical_form, load_dataset, parse_tree, serialize_tree
+
+# Each subcommand imports the layers it uses, so that start-up loads only
+# those: ``mine`` never loads the oracles or gadgets, ``iso`` only the engine.
 
 
 def _read_text(path: str) -> str:
@@ -101,6 +90,8 @@ def _pattern_lines(args) -> list[str]:
 
 
 def cmd_mine(args) -> int:
+    from .mining import MiningConfig, enumerate_closed
+
     dataset, header = _load_dataset_arg(args)
     theta = _resolve_theta(args, header)
     config = MiningConfig(theta=theta, max_solutions=args.limit)
@@ -124,7 +115,11 @@ def cmd_mine(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import brute_closed, brute_frequent, brute_maximal, brute_mct, brute_mis
+
     if args.what == "mis":
+        from .gadgets import parse_hypergraph
+
         h = parse_hypergraph(_read_text(args.input))
         for group in sorted(tuple(sorted(s)) for s in brute_mis(h)):
             _emit(" ".join(map(str, group)))
@@ -142,6 +137,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_mct(args) -> int:
+    from .signatures import maximal_common_tree
+
     dataset, _ = _load_dataset_arg(args)
     if dataset.mode != "unordered":
         raise ConstraintError(
@@ -156,6 +153,8 @@ def cmd_mct(args) -> int:
 
 
 def cmd_support(args) -> int:
+    from .isomorphism import support_set
+
     dataset, _ = _load_dataset_arg(args)
     for line in _pattern_lines(args):
         pattern = parse_tree(line)
@@ -165,6 +164,8 @@ def cmd_support(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    from .isomorphism import subtree_iso
+
     target = parse_tree(args.target)
     for line in _pattern_lines(args):
         pattern = parse_tree(line)
@@ -201,6 +202,16 @@ def _write_solutions(path: str | None, trees, mode: str) -> None:
 
 def _gadget(args):
     """The gadget instance of kind ``args.kind`` built from ``args.input``."""
+    from .gadgets import (
+        gen_dualization_instance,
+        gen_itemset_instance,
+        maximal_frequent_itemsets,
+        parse_dimacs,
+        parse_hypergraph,
+        parse_transactions,
+        sat_gadget,
+    )
+
     text = _read_text(args.input)
     if args.kind == "dual":
         return gen_dualization_instance(parse_hypergraph(text))
@@ -230,6 +241,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .gadgets import verify_gadget
+
     report = verify_gadget(args.kind, _gadget(args), seed=args.seed, samples=args.samples)
     for line in report.lines():
         _emit(line)

@@ -9,10 +9,16 @@ Text format: ``tree := "(" tree* ")"``.  The outermost pair is the root and
 children read left to right; whitespace between tokens is ignored.  A
 dataset file holds one tree per line, with blank lines and lines starting
 with ``#`` skipped.
+
+Every subtree also has an integer shape id per mode (``Tree.shape_ids``),
+interned in the process-wide :data:`SHAPES` table; the isomorphism engine
+works on those ids, while encodings serve output and the oracles.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Sequence
@@ -47,6 +53,66 @@ def join_encodings(parts: Iterable[str], mode: Mode) -> str:
     if mode == "unordered":
         parts = sorted(parts, key=_child_order_key, reverse=True)
     return "(" + "".join(parts) + ")"
+
+
+class ShapeTable:
+    """Intern table of subtree shapes: a tuple of child ids maps to a small id.
+
+    Interning works bottom-up, as in the tree isomorphism algorithm of Aho,
+    Hopcroft and Ullman (1974): a node's id is the id of the tuple of its
+    children's ids, so two subtrees get one id exactly when they are equal
+    as ordered trees.  An unordered id interns the child ids sorted, which
+    makes it the ordered id of a canonical representative, so one table
+    serves both modes.  A child's id is always smaller than its parent's.
+
+    For each id the table records, once per distinct shape, its child tuple,
+    its size, its height and its child classes: ``(child id, count)`` pairs
+    in increasing id order.  New shapes are added under a lock, so threads
+    may share the table.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._ids: dict[tuple[int, ...], int] = {}
+        self.children: list[tuple[int, ...]] = []
+        self.size: list[int] = []
+        self.height: list[int] = []
+        self.classes: list[tuple[tuple[int, int], ...]] = []
+        self.leaf = self.intern(())  # the single vertex, id 0
+
+    def intern(self, kids: tuple[int, ...]) -> int:
+        """The id of the shape whose children have ids ``kids``, in order."""
+        sid = self._ids.get(kids)
+        if sid is None:
+            with self._lock:
+                sid = self._ids.get(kids)
+                if sid is None:
+                    sid = len(self.children)
+                    self.children.append(kids)
+                    self.size.append(1 + sum(self.size[c] for c in kids))
+                    self.height.append(1 + max(self.height[c] for c in kids) if kids else 0)
+                    self.classes.append(tuple(sorted(Counter(kids).items())))
+                    # published last, so a reader that finds the id finds its record
+                    self._ids[kids] = sid
+        return sid
+
+    def tree_ids(self, tree: "Tree", unordered: bool) -> tuple[int, ...]:
+        """Per-node ids of ``tree``'s subtrees; ``unordered`` sorts child ids first."""
+        ids = [self.leaf] * tree.size
+        known, children = self._ids, tree.children
+        child_id = ids.__getitem__
+        for v in tree._deepest_first:
+            kids = children[v]
+            if kids:
+                key = tuple(sorted(map(child_id, kids)) if unordered else map(child_id, kids))
+                sid = known.get(key)
+                ids[v] = self.intern(key) if sid is None else sid
+        return tuple(ids)
+
+
+#: The process-wide shape table.  Like ``sys.intern`` it is never pruned,
+#: so it grows with the number of distinct shapes the process has seen.
+SHAPES = ShapeTable()
 
 
 @dataclass(frozen=True)
@@ -116,23 +182,25 @@ class Tree:
 
     @cached_property
     def _deepest_first(self) -> tuple[int, ...]:
-        return tuple(sorted(self.nodes(), key=lambda v: self.depths[v], reverse=True))
+        """Nodes in non-increasing depth: breadth-first order, reversed."""
+        order = [self.root]
+        for v in order:
+            order.extend(self.children[v])
+        order.reverse()
+        return tuple(order)
+
+    def shape_ids(self, mode: Mode) -> tuple[int, ...]:
+        """Per-node id in :data:`SHAPES` of the subtree rooted there, under ``mode``."""
+        check_mode(mode)
+        return self._ordered_ids if mode == "ordered" else self._unordered_ids
 
     @cached_property
-    def subtree_sizes(self) -> tuple[int, ...]:
-        sizes = [1] * self.size
-        for v in self._deepest_first:
-            for c in self.children[v]:
-                sizes[v] += sizes[c]
-        return tuple(sizes)
+    def _ordered_ids(self) -> tuple[int, ...]:
+        return SHAPES.tree_ids(self, unordered=False)
 
     @cached_property
-    def subtree_heights(self) -> tuple[int, ...]:
-        heights = [0] * self.size
-        for v in self._deepest_first:
-            if self.children[v]:
-                heights[v] = 1 + max(heights[c] for c in self.children[v])
-        return tuple(heights)
+    def _unordered_ids(self) -> tuple[int, ...]:
+        return SHAPES.tree_ids(self, unordered=True)
 
     def encodings(self, mode: Mode) -> tuple[str, ...]:
         """Per-node encoding of the subtree rooted there, under ``mode``."""

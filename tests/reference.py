@@ -13,7 +13,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 
-from shrubmine import Tree, parse_tree, tree_from_signature
+from shrubmine import Tree, TreeBuilder, parse_tree, tree_from_signature
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +243,22 @@ def random_tree(rng: random.Random, vertices: int) -> Tree:
     for v in range(1, vertices):
         children[rng.randrange(v)].append(v)
     return Tree.from_children(children)
+
+
+def random_repeated_sibling_tree(rng: random.Random, max_vertices: int, pool: list[Tree]) -> Tree:
+    """Random tree grafted from 1-3 copies at a time of shapes in ``pool``,
+    half of them below the root, so many vertices have several children of
+    one shape."""
+    builder = TreeBuilder()
+    frontier = [builder.root]
+    size = 1
+    while True:
+        shape, copies = rng.choice(pool), rng.randint(1, 3)
+        size += copies * shape.size
+        if size > max_vertices:
+            return builder.build()
+        parent = builder.root if rng.random() < 0.5 else rng.choice(frontier)
+        frontier.extend(builder.graft(parent, shape) for _ in range(copies))
 
 
 def random_h2_dataset(rng: random.Random, min_trees=2, max_trees=6, max_vertices=12):

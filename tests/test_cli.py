@@ -1,8 +1,11 @@
 import io
+import os
+import subprocess
 import sys
 
 import pytest
 
+import shrubmine
 from shrubmine.cli import main
 
 from reference import cyclic_34_cnf
@@ -386,3 +389,24 @@ def test_unknown_flag_rejected(capsys, two_tree_file):
     with pytest.raises(SystemExit) as exc:
         main(["mine", "closed", "--input", two_tree_file, "--frobnicate"])
     assert exc.value.code == 2
+
+
+def test_subcommands_load_only_their_layers(two_tree_file):
+    probe = (
+        "import sys\n"
+        "from shrubmine.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('shrubmine.'))), file=sys.stderr)\n"
+    )
+    loaded = {
+        ("mine", "closed", "--input", two_tree_file): "cli errors isomorphism mining signatures trees",
+        ("iso", "--pattern", "(())", "--target", "((()))", "--mode", "unordered"): "cli errors isomorphism trees",
+        ("canon", "--pattern", "(())", "--mode", "ordered"): "cli errors trees",
+    }
+    for argv, layers in loaded.items():
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(shrubmine.__file__))},
+        )
+        last = done.stderr.splitlines()[-1]
+        assert last == " ".join(f"shrubmine.{name}" for name in layers.split())

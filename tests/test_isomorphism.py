@@ -4,6 +4,8 @@ import pytest
 
 from shrubmine import (
     Dataset,
+    EmbeddingWitness,
+    Tree,
     add_leaf,
     find_embedding,
     is_frequent,
@@ -13,7 +15,12 @@ from shrubmine import (
     tree_equal,
 )
 
-from reference import naive_subtree_iso, random_tree
+from reference import (
+    all_unordered_trees,
+    naive_subtree_iso,
+    random_repeated_sibling_tree,
+    random_tree,
+)
 
 
 def test_single_vertex_embeds_everywhere():
@@ -138,3 +145,83 @@ def test_witnesses_validate():
                 found += 1
                 assert witness.is_valid_for(pattern, target, mode)
     assert found > 100
+
+
+def test_broken_witnesses_are_rejected():
+    pattern = parse_tree("(()(()))")
+    target = parse_tree("((()(())))")
+    good = {0: 1, 1: 2, 2: 3, 3: 4}
+    for mode in ("ordered", "unordered"):
+        assert EmbeddingWitness(good).is_valid_for(pattern, target, mode)
+        swapped = {0: 1, 1: 3, 2: 2, 3: 4}
+        assert not EmbeddingWitness(swapped).is_valid_for(pattern, target, mode)
+        # both leaves of a cherry onto one target leaf: every edge maps onto an edge
+        cherry, stick = parse_tree("(()())"), parse_tree("(())")
+        assert not EmbeddingWitness({0: 0, 1: 1, 2: 1}).is_valid_for(cherry, stick, mode)
+        # the root mapped below the image of its own child
+        chain = parse_tree("((()))")
+        assert not EmbeddingWitness({0: 1, 1: 0}).is_valid_for(stick, chain, mode)
+    # children in reversed order embed unordered but not ordered
+    reversed_target = parse_tree("((())())")
+    mirrored = {0: 0, 1: 3, 2: 1, 3: 2}
+    assert EmbeddingWitness(mirrored).is_valid_for(pattern, reversed_target, "unordered")
+    assert not EmbeddingWitness(mirrored).is_valid_for(pattern, reversed_target, "ordered")
+
+
+def _path(vertices: int) -> Tree:
+    return Tree.from_children([[v + 1] for v in range(vertices - 1)] + [[]])
+
+
+def _caterpillar(depth: int) -> Tree:
+    """A spine 0..depth with a leaf before the next spine vertex at each step."""
+    children = [[] for _ in range(2 * depth + 1)]
+    for v in range(depth):
+        children[v] = [depth + 1 + v, v + 1]
+    return Tree.from_children(children)
+
+
+def test_deep_path_in_caterpillar():
+    depth = 3000
+    target = _caterpillar(depth)
+    for mode in ("ordered", "unordered"):
+        pattern = _path(depth + 1)
+        assert subtree_iso(pattern, target, mode)
+        witness = find_embedding(pattern, target, mode)
+        assert witness is not None
+        assert witness.is_valid_for(pattern, target, mode)
+        assert not subtree_iso(_path(depth + 2), target, mode)
+
+
+def test_repeated_sibling_shapes_match_oracle():
+    """Child classes of several siblings each, drawn by pattern and target
+    from one pool, so class flows must split and reroute."""
+    rng = random.Random(11)
+    small = all_unordered_trees(3)
+    # whichever of ((())) and (()()) has the smaller shape id, one of these
+    # pairs must move () and (()) off it to fit three copies of it
+    pairs = [
+        ("(()(())" + want * copies + ")", "(" + want * 3 + other * 2 + ")")
+        for want, other in (("((()))", "(()())"), ("(()())", "((()))"))
+        for copies in (3, 4)
+    ]
+    cases = [(parse_tree(a), parse_tree(b)) for a, b in pairs]
+    for case in range(400):
+        pool = small if case % 2 else [random_tree(rng, rng.randint(1, 4)) for _ in range(3)]
+        pattern = random_repeated_sibling_tree(rng, rng.randint(1, 9), pool)
+        target = random_repeated_sibling_tree(rng, rng.randint(3, 13), pool)
+        cases.append((pattern, target))
+    repeated = found = 0
+    for pattern, target in cases:
+        repeated += any(
+            len(kids) > len(set(pattern.shape_ids("unordered")[c] for c in kids))
+            for kids in pattern.children
+        )
+        for mode in ("ordered", "unordered"):
+            expected = naive_subtree_iso(pattern, target, mode)
+            assert subtree_iso(pattern, target, mode) == expected
+            witness = find_embedding(pattern, target, mode)
+            assert (witness is not None) == expected
+            if witness is not None:
+                found += 1
+                assert witness.is_valid_for(pattern, target, mode)
+    assert repeated > 150 and found > 150

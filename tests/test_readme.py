@@ -1,4 +1,5 @@
-"""The README's library-surface example stays runnable and exported."""
+"""The README's library-surface example stays runnable and exported, and
+every exported name resolves."""
 
 import re
 from pathlib import Path
@@ -16,3 +17,8 @@ def test_readme_import_block_runs_and_is_exported():
     names = [name.strip() for name in block.group(1).split(",") if name.strip()]
     assert names
     assert set(names) <= set(shrubmine.__all__)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in shrubmine.__all__ if not hasattr(shrubmine, name)]
+    assert missing == []
