@@ -216,7 +216,15 @@ def _gadget(args):
     if args.kind == "dual":
         return gen_dualization_instance(parse_hypergraph(text))
     if args.kind == "sat":
-        return sat_gadget(parse_dimacs(text))
+        import warnings
+
+        # the small-instance warning as one line, without the source line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            instance = sat_gadget(parse_dimacs(text))
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
+        return instance
     db = parse_transactions(text)
     theta = args.theta if args.theta is not None else 1
     if getattr(args, "solutions", None) is not None:

@@ -279,9 +279,12 @@ def sat_gadget(cnf: CnfFormula) -> SatGadget:
 
     The dropped templates are maximal 2-frequent by construction; any
     further maximal 2-frequent pattern corresponds to a satisfying
-    assignment.  Rejects formulas outside (3,4) form and warns when the
+    assignment.  Rejects formulas without clauses (there is no clause
+    marker to build from) or outside (3,4) form, and warns when the
     instance is too small for the template separation argument.
     """
+    if not cnf.clauses:
+        raise ConstraintError("the formula has no clauses, so there are no clause markers to build")
     problems = cnf.three_four_violations()
     if problems:
         raise ConstraintError("formula is not in (3,4) form: " + "; ".join(problems))

@@ -1,13 +1,16 @@
 """Exhaustive reference implementations used as test oracles.
 
-Every pattern occurring in the dataset is enumerated outright; maximality
-and closure are then decided through one-leaf superpatterns alone.  That
-suffices: for any occurring strict superpattern Q of a pattern P, some
-one-leaf extension P' of P is contained in Q, so P' occurs too and has
-support at least that of Q.  Nothing shares code with the matching engine
-or the signature algebra, so these routines can sit on the other side of
-every equivalence test.  Hard size guards refuse inputs beyond desk scale
-instead of running for hours.
+Every pattern occurring in the dataset is enumerated outright, per tree
+and bottom up, with each node's partial child combinations deduped after
+every child, so repeated siblings cost their distinct combinations rather
+than their product (see ``_rooted_pattern_keys``).  Maximality and closure
+are then decided through one-leaf superpatterns alone.  That suffices: for
+any occurring strict superpattern Q of a pattern P, some one-leaf extension
+P' of P is contained in Q, so P' occurs too and has support at least that
+of Q.  Nothing shares code with the matching engine or the signature
+algebra, so these routines can sit on the other side of every equivalence
+test.  Hard size guards refuse inputs beyond desk scale instead of running
+for hours.
 
 A pattern *occurs* in a tree when its root can map onto the tree's root,
 i.e. occurrences are the parent-closed vertex subsets containing the root.
@@ -74,18 +77,24 @@ def _guard_tree(tree: Tree, where: str, max_patterns: int, max_vertices: int) ->
 def _rooted_pattern_keys(tree: Tree, mode: Mode) -> set[str]:
     """Encodings of every parent-closed subset of ``tree`` containing its root.
 
-    For each node, every combination of (child absent | child present with
-    one of its own combinations) is spelled out.
+    For each node, the combinations of (child absent | child present with
+    one of its own encodings) are grown one child at a time and deduped
+    after each child: as tuples in ordered mode, as sorted tuples in
+    unordered mode, where sibling order is not part of the pattern.  Equal
+    partial combinations give equal patterns whatever the later children
+    add, so the dedupe loses nothing, and repeated siblings no longer
+    multiply the work.  Each node joins its combinations once, at the end.
     """
+    unordered = mode == "unordered"
     options: list[list[str]] = [[] for _ in tree.nodes()]
     for v in tree._deepest_first:
-        combos: list[tuple[str, ...]] = [()]
+        combos: set[tuple[str, ...]] = {()}
         for c in tree.children[v]:
-            extended = []
+            extended = set(combos)
             for base in combos:
-                extended.append(base)
                 for enc in options[c]:
-                    extended.append(base + (enc,))
+                    parts = base + (enc,)
+                    extended.add(tuple(sorted(parts)) if unordered else parts)
             combos = extended
         options[v] = [join_encodings(parts, mode) for parts in combos]
     return set(options[tree.root])
@@ -95,9 +104,12 @@ def _leaf_deletion_keys(tree: Tree, mode: Mode) -> set[str]:
     """Encodings of ``tree`` with one non-root leaf removed, one per leaf.
 
     Only the encodings on the path from the removed leaf to the root change;
-    they are rebuilt bottom up.
+    they are rebuilt bottom up from the per-node encodings, which stay small
+    since the enumerators refuse trees beyond ``MAX_TREE_VERTICES``.
     """
-    enc = tree.encodings(mode)
+    enc = [""] * tree.size
+    for v in tree._deepest_first:
+        enc[v] = join_encodings([enc[c] for c in tree.children[v]], mode)
     keys: set[str] = set()
     for leaf in tree.nodes():
         if leaf == tree.root or tree.children[leaf]:

@@ -5,6 +5,11 @@ mutually consistent parent and child records.  All edits (``add_leaf``,
 grafting through :class:`TreeBuilder`) produce new trees, so values can be
 shared freely between enumeration states.
 
+``Tree.from_children`` is the one validator, for arenas a caller supplies.
+``parse_tree`` and ``TreeBuilder`` record parents and children together as
+they go, so their arenas are consistent by construction and they make the
+``Tree`` directly: validating again would walk every node twice more.
+
 Text format: ``tree := "(" tree* ")"``.  The outermost pair is the root and
 children read left to right; whitespace between tokens is ignored.  A
 dataset file holds one tree per line, with blank lines and lines starting
@@ -178,7 +183,12 @@ class Tree:
 
     @cached_property
     def height(self) -> int:
-        return max(self.depths)
+        # the first node deepest-first is a deepest one: count its steps up
+        v, steps = self._deepest_first[0], 0
+        while v != self.root:
+            v = self.parents[v]
+            steps += 1
+        return steps
 
     @cached_property
     def _deepest_first(self) -> tuple[int, ...]:
@@ -202,99 +212,107 @@ class Tree:
     def _unordered_ids(self) -> tuple[int, ...]:
         return SHAPES.tree_ids(self, unordered=True)
 
-    def encodings(self, mode: Mode) -> tuple[str, ...]:
-        """Per-node encoding of the subtree rooted there, under ``mode``."""
-        check_mode(mode)
-        return self._ordered_encodings if mode == "ordered" else self._unordered_encodings
-
-    @cached_property
-    def _ordered_encodings(self) -> tuple[str, ...]:
-        return self._encode("ordered")
-
-    @cached_property
-    def _unordered_encodings(self) -> tuple[str, ...]:
-        return self._encode("unordered")
-
-    def _encode(self, mode: Mode) -> tuple[str, ...]:
-        enc: list[str] = [""] * self.size
-        for v in self._deepest_first:
-            enc[v] = join_encodings([enc[c] for c in self.children[v]], mode)
-        return tuple(enc)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tree({self._ordered_encodings[self.root]!r})"
+        return f"Tree({serialize_tree(self)!r})"
 
 
 class TreeBuilder:
-    """Mutable arena for assembling a tree top-down; ``build`` freezes it."""
+    """Mutable arena for assembling a tree top-down; ``build`` freezes it.
+
+    Parents and children are recorded together, and every parent id is
+    checked on the way in, so ``build`` needs no validation pass.
+    """
 
     def __init__(self) -> None:
+        self._parents: list[int | None] = [None]
         self._children: list[list[int]] = [[]]
 
     @property
     def root(self) -> int:
         return 0
 
+    def _check_parent(self, parent: int) -> None:
+        if not 0 <= parent < len(self._parents):
+            raise ValueError(f"parent id {parent} out of range 0..{len(self._parents) - 1}")
+
     def add_child(self, parent: int) -> int:
-        node = len(self._children)
+        self._check_parent(parent)
+        node = len(self._parents)
+        self._parents.append(parent)
         self._children.append([])
         self._children[parent].append(node)
         return node
 
     def graft(self, parent: int, subtree: Tree) -> int:
-        """Copy ``subtree`` below ``parent``; returns the copy's root id."""
-        new_id: dict[int, int] = {}
-        order = [subtree.root]
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            new_id[v] = self.add_child(parent if v == subtree.root else new_id[subtree.parents[v]])
-            order.extend(subtree.children[v])
+        """Copy ``subtree`` below ``parent``; returns the copy's root id.
+
+        The copy is ``subtree``'s arena with every id shifted by the
+        builder's size before the call, whatever ``subtree``'s root id.
+        """
+        self._check_parent(parent)
+        # one int object per new id, shared by its parent and child records
+        new_id = list(range(len(self._parents), len(self._parents) + subtree.size))
+        self._parents.extend(parent if p is None else new_id[p] for p in subtree.parents)
+        self._children.extend([new_id[c] for c in kids] for kids in subtree.children)
+        self._children[parent].append(new_id[subtree.root])
         return new_id[subtree.root]
 
     def build(self) -> Tree:
-        return Tree.from_children(self._children, root=0)
+        return Tree(tuple(self._parents), tuple(map(tuple, self._children)), 0)
 
 
 def parse_tree(text: str) -> Tree:
     """Parse a balanced-parentheses encoding into a tree.
 
-    Raises :class:`TreeParseError` with the byte offset of the first
-    problem for unbalanced, empty, or trailing input.
+    Node ids follow the order of the opening brackets.  Raises
+    :class:`TreeParseError` with the offset of the first problem for
+    unbalanced, empty, or trailing input.
     """
+    parents: list[int | None] = []
     children: list[list[int]] = []
-    stack: list[int] = []
-    root_seen = False
+    # the open node; walking up through ``parents`` pops the bracket stack
+    open_node = None
     for offset, ch in enumerate(text):
-        if ch.isspace():
-            continue
         if ch == "(":
-            if root_seen and not stack:
+            node = len(parents)
+            if open_node is not None:
+                children[open_node].append(node)
+            elif node:
                 raise TreeParseError("unexpected second top-level tree", offset=offset)
-            node = len(children)
+            parents.append(open_node)
             children.append([])
-            if stack:
-                children[stack[-1]].append(node)
-            else:
-                root_seen = True
-            stack.append(node)
+            open_node = node
         elif ch == ")":
-            if not stack:
+            if open_node is None:
                 raise TreeParseError("unbalanced ')'", offset=offset)
-            stack.pop()
-        else:
+            open_node = parents[open_node]
+        elif not ch.isspace():
             raise TreeParseError(f"unexpected character {ch!r}", offset=offset)
-    if stack:
+    if open_node is not None:
         raise TreeParseError("unbalanced '(': input ended inside a tree", offset=len(text))
-    if not root_seen:
+    if not parents:
         raise TreeParseError("empty input: expected at least one '()' pair", offset=0)
-    return Tree.from_children(children, root=0)
+    return Tree(tuple(parents), tuple(map(tuple, children)), 0)
+
+
+def _root_encoding(t: Tree, mode: Mode) -> str:
+    """Encoding of the whole of ``t`` under ``mode``, joined bottom up.
+
+    Each child's string is dropped once its parent is joined, so the live
+    strings spell disjoint subtrees and memory stays O(n) even on a deep
+    path, where keeping every node's encoding would cost O(n * height).
+    """
+    enc: dict[int, str] = {}
+    children = t.children
+    for v in t._deepest_first:
+        kids = children[v]
+        enc[v] = join_encodings([enc.pop(c) for c in kids], mode) if kids else "()"
+    return enc[t.root]
 
 
 def serialize_tree(t: Tree) -> str:
     """Literal encoding of ``t``; ``parse_tree`` reproduces it node for node."""
-    return t.encodings("ordered")[t.root]
+    return _root_encoding(t, "ordered")
 
 
 def canonical_form(t: Tree, mode: Mode) -> str:
@@ -304,7 +322,7 @@ def canonical_form(t: Tree, mode: Mode) -> str:
     node's child encodings in non-increasing canonical order, so two trees
     get equal keys exactly when they are isomorphic as unordered trees.
     """
-    return t.encodings(mode)[t.root]
+    return _root_encoding(t, check_mode(mode))
 
 
 def add_leaf(t: Tree, v: int) -> Tree:

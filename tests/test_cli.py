@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -222,6 +223,21 @@ def test_canon_subcommand(capsys):
     assert out == "(()(()))\n()\n"
 
 
+def test_canon_deep_path_in_linear_memory(capsys):
+    # keeping every node's encoding alive held about 66 MB at this depth
+    depth = 8000
+    path = "(" * depth + ")" * depth
+    for mode in ("ordered", "unordered"):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "canon", "--pattern", path, "--mode", mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (0, path + "\n", "")
+        assert peak < 8_000_000
+
+
 def test_gen_dual_writes_loadable_dataset(capsys, tmp_path):
     hg = tmp_path / "h.hg"
     hg.write_text("4 2\n1 2\n3 4\n")
@@ -256,6 +272,27 @@ def test_dual_without_vertices_exit_code(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error: ") and "no vertices" in err
         assert err.count("\n") == 1
+
+
+def test_sat_without_clauses_exit_code(capsys, tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 0 0\n")
+    for cmd in ("gen", "verify"):
+        code, out, err = run_cli(capsys, cmd, "sat", "--input", cnf.as_posix())
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "no clauses" in err
+        assert err.count("\n") == 1
+
+
+def test_sat_small_instance_warns_in_one_line(capsys, tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 1\n1 -2 3 0\n")
+    code, out, err = run_cli(capsys, "gen", "sat", "--input", cnf.as_posix())
+    assert code == 0
+    assert out.startswith("# mode=unordered\n")
+    assert err.startswith("warning: instance has n=3, m=1;")
+    assert err.count("\n") == 1
 
 
 def test_gen_sat_then_mineable_header(capsys, tmp_path):

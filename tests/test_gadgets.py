@@ -141,6 +141,8 @@ def test_sat_gadget_rejects_non_34():
     bad = CnfFormula(4, ((1, 2, 3, 4),))
     with pytest.raises(ConstraintError):
         sat_gadget(bad)
+    with pytest.raises(ConstraintError, match="no clauses"):
+        sat_gadget(CnfFormula(0, ()))
 
 
 def test_sat_gadget_warns_when_small():

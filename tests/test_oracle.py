@@ -19,7 +19,17 @@ from shrubmine import (
     signature_of,
 )
 
-from reference import definitional_maximal_closed, random_h2_dataset, random_tree, whole_shape
+from shrubmine.oracle import _pattern_count, _rooted_pattern_keys
+
+from reference import (
+    definitional_maximal_closed,
+    random_h2_dataset,
+    random_repeated_sibling_tree,
+    random_tree,
+    root_aligned_shapes,
+    tree_from_shape,
+    whole_shape,
+)
 
 
 def unordered(*texts):
@@ -36,6 +46,27 @@ def test_all_patterns_counts_multiset_support():
     u = all_patterns(unordered("(())", "(())"))
     assert u.support["(())"] == 2
     assert u.support["()"] == 2
+
+
+def test_rooted_pattern_keys_match_the_subset_enumeration():
+    rng = random.Random(29)
+    deduped = 0
+    for case in range(200):
+        if case % 2:
+            tree = random_tree(rng, rng.randint(1, 14))
+        else:
+            pool = [random_tree(rng, rng.randint(1, 3)) for _ in range(3)]
+            tree = random_repeated_sibling_tree(rng, 14, pool)
+        for mode in ("ordered", "unordered"):
+            keys = _rooted_pattern_keys(tree, mode)
+            expected = {
+                canonical_form(tree_from_shape(shape), mode)
+                for shape in root_aligned_shapes(tree, mode)
+            }
+            assert keys == expected
+            deduped += len(keys) < _pattern_count(tree)
+    # the per-child dedupe acts on most cases
+    assert deduped > 200
 
 
 def test_size_guard_refuses_wide_trees():

@@ -5,6 +5,7 @@ import pytest
 from shrubmine import (
     Dataset,
     Tree,
+    TreeBuilder,
     TreeParseError,
     add_leaf,
     canonical_form,
@@ -54,6 +55,80 @@ def test_parse_errors_carry_offsets(text, offset):
     with pytest.raises(TreeParseError) as err:
         parse_tree(text)
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text,message,offset",
+    [
+        (" (()) ()", "unexpected second top-level tree", 6),
+        ("\t(x)", "unexpected character 'x'", 2),
+        ("( ()", "unbalanced '(': input ended inside a tree", 4),
+        (" ()\n)", "unbalanced ')'", 4),
+        (" \t\n", "empty input: expected at least one '()' pair", 0),
+    ],
+)
+def test_parse_errors_in_whitespace_name_problem_and_offset(text, message, offset):
+    with pytest.raises(TreeParseError) as err:
+        parse_tree(text)
+    assert (err.value.bare_message, err.value.offset) == (message, offset)
+
+
+def test_parse_skips_unicode_whitespace():
+    assert serialize_tree(parse_tree("\u3000()")) == "()"
+
+
+def _relabelled(rng, tree):
+    """``tree`` with its node ids permuted, so its root is usually not 0."""
+    new_id = list(tree.nodes())
+    rng.shuffle(new_id)
+    children = [()] * tree.size
+    for v in tree.nodes():
+        children[new_id[v]] = [new_id[c] for c in tree.children[v]]
+    return Tree.from_children(children, root=new_id[tree.root])
+
+
+def test_parser_and_builder_agree_with_the_validator():
+    rng = random.Random(19)
+    for _ in range(300):
+        builder = TreeBuilder()
+        nodes = [builder.root]
+        grafts = []
+        for _ in range(rng.randint(0, 6)):
+            parent = rng.choice(nodes)
+            if rng.random() < 0.5:
+                nodes.append(builder.add_child(parent))
+            else:
+                sub = _relabelled(rng, random_tree(rng, rng.randint(1, 8)))
+                size = len(nodes)
+                root = builder.graft(parent, sub)
+                assert root == size + sub.root
+                nodes.extend(range(size, size + sub.size))
+                grafts.append((parent, size, sub))
+        built = builder.build()
+        assert built.size == len(nodes)
+        for parent, size, sub in grafts:
+            assert built.parents[size + sub.root] == parent
+            for v in sub.nodes():
+                # later calls may have appended children below the copy
+                kids = tuple(size + c for c in sub.children[v])
+                assert built.children[size + v][: len(kids)] == kids
+        parsed = parse_tree(serialize_tree(built))
+        for t in (built, parsed):
+            assert t == Tree.from_children(t.children, root=t.root)
+            assert t.root == 0 and t.parents[0] is None
+            assert t.height == max(t.depths)
+        assert serialize_tree(parsed) == serialize_tree(built)
+
+
+def test_builder_refuses_unknown_parents():
+    builder = TreeBuilder()
+    leaf = builder.add_child(builder.root)
+    for bad in (-1, leaf + 1):
+        with pytest.raises(ValueError):
+            builder.add_child(bad)
+        with pytest.raises(ValueError):
+            builder.graft(bad, parse_tree("(())"))
+    assert serialize_tree(builder.build()) == "(())"
 
 
 def test_serialize_examples():
