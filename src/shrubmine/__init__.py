@@ -16,19 +16,20 @@ _SOURCES = {
     name: module
     for module, names in {
         "errors": "ConstraintError FormatError SizeGuardError TreeParseError",
-        "isomorphism": "EmbeddingWitness SupportSet find_embedding is_frequent subtree_iso"
-        " support_set tree_equal",
+        "isomorphism": "EmbeddingWitness find_embedding is_frequent subtree_iso support_set"
+        " tree_equal",
         "mining": "EmptySupportError MiningConfig MiningSummary RootPatternError SearchNode"
         " closure enumerate_closed is_closed neighbors parent_of pattern_support",
         "oracle": "Hypergraph PatternUniverse all_patterns brute_closed brute_frequent"
         " brute_maximal brute_mct brute_mis",
         "signatures": "Signature make_signature maximal_common_tree signature_leq signature_of"
         " signatures_meet tree_from_signature",
-        "trees": "Dataset Tree TreeBuilder add_leaf canonical_form load_dataset parse_tree"
-        " serialize_tree",
+        "trees": "Dataset SupportSet Tree TreeBuilder add_leaf canonical_form load_dataset"
+        " parse_tree serialize_tree",
     }.items()
     for name in names.split()
 }
+__all__ = sorted(_SOURCES)
 
 
 def __getattr__(name: str):
@@ -43,51 +44,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
 
-
-__all__ = [
-    "ConstraintError",
-    "Dataset",
-    "EmbeddingWitness",
-    "EmptySupportError",
-    "FormatError",
-    "Hypergraph",
-    "MiningConfig",
-    "MiningSummary",
-    "PatternUniverse",
-    "RootPatternError",
-    "SearchNode",
-    "Signature",
-    "SizeGuardError",
-    "SupportSet",
-    "Tree",
-    "TreeBuilder",
-    "TreeParseError",
-    "add_leaf",
-    "all_patterns",
-    "brute_closed",
-    "brute_frequent",
-    "brute_maximal",
-    "brute_mct",
-    "brute_mis",
-    "canonical_form",
-    "closure",
-    "enumerate_closed",
-    "find_embedding",
-    "is_closed",
-    "is_frequent",
-    "load_dataset",
-    "make_signature",
-    "maximal_common_tree",
-    "neighbors",
-    "parent_of",
-    "parse_tree",
-    "pattern_support",
-    "serialize_tree",
-    "signature_leq",
-    "signature_of",
-    "signatures_meet",
-    "subtree_iso",
-    "support_set",
-    "tree_equal",
-    "tree_from_signature",
-]

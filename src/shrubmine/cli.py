@@ -17,7 +17,8 @@ from .errors import ConstraintError, SizeGuardError, TreeParseError
 from .trees import Dataset, canonical_form, load_dataset, parse_tree, serialize_tree
 
 # Each subcommand imports the layers it uses, so that start-up loads only
-# those: ``mine`` never loads the oracles or gadgets, ``iso`` only the engine.
+# those: ``mine`` never loads the engine, the oracles or the gadgets, and
+# ``iso`` loads only the engine.
 
 
 def _read_text(path: str) -> str:

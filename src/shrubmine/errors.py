@@ -10,8 +10,9 @@ from __future__ import annotations
 class TreeParseError(ValueError):
     """A tree encoding could not be parsed.
 
-    Carries the byte offset of the offending character and, when parsing
-    a dataset file, the 1-based line number.
+    Carries the 0-based character offset (not byte offset) of the
+    offending character in the text parsed and, when parsing a dataset
+    file, the 1-based line number.
     """
 
     def __init__(self, message: str, offset: int | None = None, line: int | None = None):

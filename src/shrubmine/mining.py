@@ -76,7 +76,6 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .errors import ConstraintError
-from .isomorphism import SupportSet
 from .signatures import (
     Signature,
     signature_key,
@@ -85,7 +84,7 @@ from .signatures import (
     signatures_meet,
     tree_from_signature,
 )
-from .trees import Dataset, Tree
+from .trees import Dataset, SupportSet, Tree
 
 
 class EmptySupportError(ValueError):

@@ -356,6 +356,19 @@ class Dataset:
         return iter(self.trees)
 
 
+@dataclass(frozen=True)
+class SupportSet:
+    """The dataset indices whose trees contain a given pattern."""
+
+    indices: tuple[int, ...]
+    count: int
+
+    @classmethod
+    def from_indices(cls, indices) -> "SupportSet":
+        idx = tuple(sorted(indices))
+        return cls(idx, len(idx))
+
+
 def load_dataset(source: Iterable[str], mode: Mode) -> Dataset:
     """Read one tree per line; blank lines and ``#`` comments are skipped.
 

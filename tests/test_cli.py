@@ -124,6 +124,15 @@ def test_non_utf8_input_exit_code(capsys, tmp_path, monkeypatch):
         assert err.startswith("error: <stdin>: ") and "offset 17" in err
 
 
+def test_parse_error_offset_counts_characters(capsys):
+    # U+3000 is one character of whitespace but three bytes in UTF-8, so the
+    # byte offset of 'x' would be 4
+    code, out, err = run_cli(capsys, "canon", "--mode", "ordered", "--pattern", "\u3000(x)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unexpected character 'x' (offset 2)\n"
+
+
 def test_mine_output_is_self_consumable(capsys, two_tree_file):
     _, out, _ = run_cli(capsys, "mine", "closed", "--input", two_tree_file)
     code, support_lines, _ = run_cli(
@@ -436,7 +445,7 @@ def test_subcommands_load_only_their_layers(two_tree_file):
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('shrubmine.'))), file=sys.stderr)\n"
     )
     loaded = {
-        ("mine", "closed", "--input", two_tree_file): "cli errors isomorphism mining signatures trees",
+        ("mine", "closed", "--input", two_tree_file): "cli errors mining signatures trees",
         ("iso", "--pattern", "(())", "--target", "((()))", "--mode", "unordered"): "cli errors isomorphism trees",
         ("canon", "--pattern", "(())", "--mode", "ordered"): "cli errors trees",
     }

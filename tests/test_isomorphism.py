@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -225,3 +228,73 @@ def test_repeated_sibling_shapes_match_oracle():
                 found += 1
                 assert witness.is_valid_for(pattern, target, mode)
     assert repeated > 150 and found > 150
+
+
+# Trees whose children are sorted by unordered shape id have equal ordered
+# and unordered ids at every vertex, so both modes look up the same id
+# pairs in their memos, while the answers of the two modes can differ.
+_MODES_APART = """
+import random
+from shrubmine import Tree, TreeBuilder, add_leaf, find_embedding, subtree_iso
+from shrubmine.isomorphism import _MEMOS
+from shrubmine.trees import SHAPES
+from reference import naive_subtree_iso, random_tree
+
+assert len(SHAPES.children) == 1 and not any(_MEMOS.values()), "not a fresh process"
+
+
+def canonical(tree):
+    ids = tree.shape_ids("unordered")
+    children = [sorted(kids, key=ids.__getitem__) for kids in tree.children]
+    out = Tree.from_children(children, tree.root)
+    assert out.shape_ids("ordered") == out.shape_ids("unordered")
+    return out
+
+
+def joined(*parts):
+    builder = TreeBuilder()
+    for part in parts:
+        builder.graft(builder.root, part)
+    return canonical(builder.build())
+
+
+def grown(tree):
+    for _ in range(rng.randint(1, 3)):
+        tree = add_leaf(tree, rng.randrange(tree.size))
+    return tree
+
+
+# a root over two random shapes, inside a root over the two grown by a few
+# leaves: unordered it always embeds, ordered only when the canonical child
+# orders of the two roots agree
+rng = random.Random(12)
+pairs = []
+for _ in range(200):
+    a, b = random_tree(rng, rng.randint(2, 5)), random_tree(rng, rng.randint(2, 5))
+    pairs.append((joined(a, b), joined(grown(a), grown(b))))
+    pattern, target = random_tree(rng, rng.randint(2, 6)), random_tree(rng, rng.randint(4, 10))
+    pairs.append((canonical(pattern), canonical(target)))
+modes = ("ordered", "unordered")
+truth = [{mode: naive_subtree_iso(p, t, mode) for mode in modes} for p, t in pairs]
+disagree = sum(answer["ordered"] != answer["unordered"] for answer in truth)
+# the second pass meets every pair decided, with the other mode first
+for second in (0, 1):
+    for k, (pattern, target) in enumerate(pairs):
+        for mode in modes if (k + second) % 2 else modes[::-1]:
+            assert subtree_iso(pattern, target, mode) == truth[k][mode], (k, mode)
+            witness = find_embedding(pattern, target, mode)
+            assert (witness is not None) == truth[k][mode]
+            assert witness is None or witness.is_valid_for(pattern, target, mode)
+print(disagree)
+"""
+
+
+def test_modes_keep_apart_and_memo_has_no_history_effect():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _MODES_APART], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, here])},
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) > 20
