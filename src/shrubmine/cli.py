@@ -229,7 +229,7 @@ def _gadget(args):
     db = parse_transactions(text)
     theta = args.theta if args.theta is not None else 1
     if getattr(args, "solutions", None) is not None:
-        solutions = [frozenset(int(tok) for tok in ln.split()) for ln in _data_lines(args.solutions)]
+        solutions = parse_transactions(_read_text(args.solutions)).itemsets
     else:
         solutions = sorted(maximal_frequent_itemsets(db, theta), key=sorted)
     return gen_itemset_instance(db, solutions, theta)

@@ -13,6 +13,13 @@ source problem:
 
 ``verify_gadget`` replays the defining facts of each family on a concrete
 instance and reports one pass/fail line per check.
+
+The satisfiability trees are grafted from shared parts.  Clause marker j
+of m is the signature tree of ``(j + 1,) * (m - j + 1)``, built once per
+process by a bounded cache, and the templates, the variable gadgets and
+every assignment tree graft copies of it.  The maximal frequent itemsets
+come from the oracle module's subset sweep, which also gives its maximal
+independent sets.
 """
 
 from __future__ import annotations
@@ -20,15 +27,25 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConstraintError, FormatError, SizeGuardError
+from .errors import ConstraintError, FormatError
 from .isomorphism import subtree_iso
-from .oracle import Hypergraph, brute_maximal, brute_mct, brute_mis
+from .oracle import Hypergraph, _maximal_subsets, brute_maximal, brute_mct, brute_mis
+from .signatures import tree_from_signature
 from .trees import Dataset, Tree, TreeBuilder, canonical_form
 
 # ---------------------------------------------------------------------------
 # input formats
+
+
+def _ints(tokens: Iterable[str], error: str) -> list[int]:
+    """``tokens`` as integers; a :class:`FormatError` with ``error`` otherwise."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise FormatError(error) from None
 
 
 @dataclass(frozen=True)
@@ -61,18 +78,10 @@ class CnfFormula:
                 problems.append(f"literal {lit} appears in {count} clauses")
         return problems
 
-    def satisfied_clauses(self, assignment: Mapping[int, bool]) -> set[int]:
-        """1-based indices of clauses some literal of which is true."""
-        hit = set()
-        for j, clause in enumerate(self.clauses, 1):
-            for lit in clause:
-                if assignment[abs(lit)] == (lit > 0):
-                    hit.add(j)
-                    break
-        return hit
-
     def satisfies(self, assignment: Mapping[int, bool]) -> bool:
-        return len(self.satisfied_clauses(assignment)) == len(self.clauses)
+        return all(
+            any(assignment[abs(lit)] == (lit > 0) for lit in clause) for clause in self.clauses
+        )
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -86,14 +95,12 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if line.startswith("p"):
             parts = line.split()
+            bad_header = f"bad DIMACS header on line {lineno}: {line!r}"
             if len(parts) != 4 or parts[1] != "cnf":
-                raise FormatError(f"bad DIMACS header on line {lineno}: {line!r}")
-            n, declared = int(parts[2]), int(parts[3])
+                raise FormatError(bad_header)
+            n, declared = _ints(parts[2:], bad_header)
             continue
-        try:
-            tokens.extend(int(tok) for tok in line.split())
-        except ValueError:
-            raise FormatError(f"non-integer token on line {lineno}: {line!r}") from None
+        tokens.extend(_ints(line.split(), f"non-integer token on line {lineno}: {line!r}"))
     if n is None:
         raise FormatError("missing 'p cnf' header")
     clauses: list[tuple[int, ...]] = []
@@ -142,12 +149,9 @@ def parse_transactions(text: str) -> TransactionDb:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("n="):
-                n = int(body[2:].strip())
+                (n,) = _ints([body[2:]], f"non-integer item count on line {lineno}: {line!r}")
             continue
-        try:
-            items = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise FormatError(f"non-integer item on line {lineno}: {line!r}") from None
+        items = _ints(line.split(), f"non-integer item on line {lineno}: {line!r}")
         if any(x < 1 for x in items):
             raise FormatError(f"items must be positive, line {lineno}: {line!r}")
         rows.append(frozenset(items))
@@ -168,17 +172,16 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise FormatError("empty hypergraph file")
     header_lineno, header = lines[0]
     parts = header.split()
+    bad_header = f"expected 'n m' on line {header_lineno}, got {header!r}"
     if len(parts) != 2:
-        raise FormatError(f"expected 'n m' on line {header_lineno}, got {header!r}")
-    n, m = int(parts[0]), int(parts[1])
+        raise FormatError(bad_header)
+    n, m = _ints(parts, bad_header)
     if len(lines) - 1 != m:
         raise FormatError(f"header declares {m} edges, found {len(lines) - 1}")
-    edges = []
-    for lineno, line in lines[1:]:
-        try:
-            edges.append(frozenset(int(tok) for tok in line.split()))
-        except ValueError:
-            raise FormatError(f"non-integer vertex on line {lineno}: {line!r}") from None
+    edges = [
+        frozenset(_ints(line.split(), f"non-integer vertex on line {lineno}: {line!r}"))
+        for lineno, line in lines[1:]
+    ]
     try:
         return Hypergraph.from_edges(n, edges)
     except ValueError as exc:
@@ -189,17 +192,18 @@ def parse_hypergraph(text: str) -> Hypergraph:
 # satisfiability family
 
 
+@lru_cache(maxsize=256)
 def clause_marker_tree(m: int, j: int) -> Tree:
     """Height-2 marker for clause ``j`` of ``m``: ``m - j + 1`` children,
-    each carrying exactly ``j`` leaves.  Pairwise incomparable across j."""
+    each carrying exactly ``j`` leaves.  Pairwise incomparable across j.
+
+    The marker is the signature tree of ``(j + 1,) * (m - j + 1)``, and
+    every builder of one process grafts the same cached copy.  The cache
+    holds every marker of a formula with up to 256 clauses; together they
+    are smaller than one of that formula's templates."""
     if not 1 <= j <= m:
         raise ValueError(f"clause index {j} out of range 1..{m}")
-    b = TreeBuilder()
-    for _ in range(m - j + 1):
-        child = b.add_child(b.root)
-        for _ in range(j):
-            b.add_child(child)
-    return b.build()
+    return tree_from_signature((j + 1,) * (m - j + 1))
 
 
 def marker_bundle_tree(m: int, omit: int | None = None) -> Tree:
@@ -217,21 +221,26 @@ def marker_bundle_tree(m: int, omit: int | None = None) -> Tree:
     return b.build()
 
 
+def _graft_literal_markers(b: TreeBuilder, parent: int, cnf: CnfFormula, literal: int) -> None:
+    """Graft below ``parent``, in clause order, the markers of the clauses
+    of ``cnf`` that contain ``literal``."""
+    m = len(cnf.clauses)
+    for j, clause in enumerate(cnf.clauses, 1):
+        if literal in clause:
+            b.graft(parent, clause_marker_tree(m, j))
+
+
 def variable_gadget_tree(index: int, cnf: CnfFormula) -> Tree:
     """Two branches for variable ``index``: the first carries the markers of
     clauses containing the positive literal, the second those of the
     negative literal."""
     if not 1 <= index <= cnf.n:
         raise ValueError(f"variable index {index} out of range 1..{cnf.n}")
-    m = len(cnf.clauses)
     b = TreeBuilder()
     positive = b.add_child(b.root)
     negative = b.add_child(b.root)
-    for j, clause in enumerate(cnf.clauses, 1):
-        if index in clause:
-            b.graft(positive, clause_marker_tree(m, j))
-        if -index in clause:
-            b.graft(negative, clause_marker_tree(m, j))
+    _graft_literal_markers(b, positive, cnf, index)
+    _graft_literal_markers(b, negative, cnf, -index)
     return b.build()
 
 
@@ -309,15 +318,11 @@ def assignment_tree(cnf: CnfFormula, assignment: Mapping[int, bool]) -> Tree:
     missing = [i for i in range(1, cnf.n + 1) if i not in assignment]
     if missing:
         raise ValueError(f"assignment leaves variables {missing} undefined")
-    m = len(cnf.clauses)
     b = TreeBuilder()
     for i in range(1, cnf.n + 1):
         branch = b.add_child(b.root)
         kept = b.add_child(branch)
-        live_literal = i if assignment[i] else -i
-        for j, clause in enumerate(cnf.clauses, 1):
-            if live_literal in clause:
-                b.graft(kept, clause_marker_tree(m, j))
+        _graft_literal_markers(b, kept, cnf, i if assignment[i] else -i)
     return b.build()
 
 
@@ -432,30 +437,16 @@ class ItemsetGadget:
     solution_itemsets: tuple[frozenset[int], ...]
 
 
-def maximal_frequent_itemsets(
-    db: TransactionDb, theta: int, max_items: int = 20
-) -> set[frozenset[int]]:
+def maximal_frequent_itemsets(db: TransactionDb, theta: int) -> set[frozenset[int]]:
     """Brute-force maximal frequent itemsets by full subset sweep."""
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
-    if db.n > max_items:
-        raise SizeGuardError(f"{db.n} items exceeds the brute-force cap of {max_items}")
     row_masks = [sum(1 << (x - 1) for x in row) for row in db.itemsets]
-
-    def frequency(mask: int) -> int:
-        return sum(1 for row in row_masks if row & mask == mask)
-
-    result = set()
-    for mask in range(1 << db.n):
-        if frequency(mask) < theta:
-            continue
-        if any(
-            not mask & (1 << v) and frequency(mask | (1 << v)) >= theta
-            for v in range(db.n)
-        ):
-            continue
-        result.add(frozenset(v + 1 for v in range(db.n) if mask & (1 << v)))
-    return result
+    return _maximal_subsets(
+        db.n,
+        lambda mask: sum(1 for row in row_masks if row & mask == mask) >= theta,
+        "items",
+    )
 
 
 def gen_itemset_instance(
@@ -658,11 +649,7 @@ def _verify_itemset(instance: ItemsetGadget) -> VerifyReport:
     oversized = [s for s in maximal_sets if len(s) >= n - 1]
     if oversized:
         checks.append(
-            CheckResult(
-                "no_frequent_itemset_near_full_width",
-                "fail",
-                (("oversized", len(oversized)),),
-            )
+            _result("no_frequent_itemset_near_full_width", False, oversized=len(oversized))
         )
         checks.append(CheckResult("maximal_trees_match_maximal_itemsets", "skip"))
         return VerifyReport("itemset", checks)

@@ -12,6 +12,11 @@ algebra, so these routines can sit on the other side of every equivalence
 test.  Hard size guards refuse inputs beyond desk scale instead of running
 for hours.
 
+The set-system oracles, maximal independent sets of a hypergraph here and
+maximal frequent itemsets in the gadgets module, are two predicates over
+one subset sweep (``_maximal_subsets``): it asks the predicate once per
+subset and reads the one-element extensions from the table of answers.
+
 A pattern *occurs* in a tree when its root can map onto the tree's root,
 i.e. occurrences are the parent-closed vertex subsets containing the root.
 Root-aligned occurrence is what the whole mining side uses: it keeps
@@ -23,6 +28,7 @@ the isomorphism module has its own independent oracle in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import SizeGuardError
 from .trees import Dataset, Mode, Tree, check_mode, join_encodings, parse_tree
@@ -31,6 +37,8 @@ from .trees import Dataset, Mode, Tree, check_mode, join_encodings, parse_tree
 MAX_PATTERNS_PER_TREE = 200_000
 #: Hard cap on vertices of any tree handed to the enumerators.
 MAX_TREE_VERTICES = 32
+#: Hard cap on the ground set of the subset sweeps (MIS, maximal itemsets).
+MAX_SWEEP_ELEMENTS = 20
 
 
 @dataclass(frozen=True)
@@ -228,30 +236,34 @@ def brute_mct(dataset: Dataset, universe: PatternUniverse | None = None) -> dict
     return brute_maximal(dataset, len(dataset.trees), universe)
 
 
-def brute_mis(h: Hypergraph, max_vertices: int = 20) -> set[frozenset[int]]:
+def _maximal_subsets(n: int, keep: Callable[[int], bool], elements: str) -> set[frozenset[int]]:
+    """The maximal subsets of ``1..n`` that ``keep`` accepts, by subset sweep.
+
+    ``keep`` sees each subset once, as a bitmask with bit ``v - 1`` for
+    element ``v``, and its answers fill a table of ``2**n`` bytes.  A kept
+    subset is maximal when no one-element extension of it is kept.
+    ``elements`` names the ground set in the size-guard message.
+    """
+    if n > MAX_SWEEP_ELEMENTS:
+        raise SizeGuardError(
+            f"{n} {elements} exceeds the brute-force cap of {MAX_SWEEP_ELEMENTS}"
+        )
+    kept = bytearray(map(keep, range(1 << n)))
+    bits = [1 << v for v in range(n)]
+    maximal: set[frozenset[int]] = set()
+    for subset in range(1 << n):
+        if kept[subset] and not any(kept[subset | bit] for bit in bits if not subset & bit):
+            maximal.add(frozenset(v + 1 for v, bit in enumerate(bits) if subset & bit))
+    return maximal
+
+
+def brute_mis(h: Hypergraph) -> set[frozenset[int]]:
     """All maximal independent sets of a hypergraph, by subset sweep.
 
     A set is independent when it fully contains no hyperedge, and maximal
     when every one-vertex extension stops being independent.
     """
-    if h.n > max_vertices:
-        raise SizeGuardError(
-            f"{h.n} vertices exceeds the brute-force cap of {max_vertices}"
-        )
     edge_masks = [sum(1 << (v - 1) for v in e) for e in h.edges]
-    result: set[frozenset[int]] = set()
-    for subset in range(1 << h.n):
-        if any(subset & e == e for e in edge_masks):
-            continue
-        maximal = True
-        for v in range(h.n):
-            bit = 1 << v
-            if subset & bit:
-                continue
-            grown = subset | bit
-            if not any(grown & e == e for e in edge_masks):
-                maximal = False
-                break
-        if maximal:
-            result.add(frozenset(v + 1 for v in range(h.n) if subset & (1 << v)))
-    return result
+    return _maximal_subsets(
+        h.n, lambda subset: not any(subset & e == e for e in edge_masks), "vertices"
+    )

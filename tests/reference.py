@@ -298,3 +298,88 @@ def unsat_34_cnf():
 
     pad = [(v, wrap(v + 1), wrap(v + 2)) for v in range(3, 13)]
     return CnfFormula(12, tuple(core + pad))
+
+
+def random_34_cnf(rng: random.Random, max_n: int, max_m: int):
+    """Random (3,4)-CNF: up to ``max_m`` clauses of 1-3 distinct literals
+    over 1..n, every literal in at most 4 clauses; clauses may be
+    tautological."""
+    from shrubmine.gadgets import CnfFormula
+
+    n = rng.randint(1, max_n)
+    occurrences: Counter = Counter()
+    clauses = []
+    for _ in range(rng.randint(1, max_m)):
+        clause: list[int] = []
+        for _ in range(rng.randint(1, 3)):
+            lit = rng.choice((-1, 1)) * rng.randint(1, n)
+            if occurrences[lit] < 4 and lit not in clause:
+                clause.append(lit)
+        if clause:
+            occurrences.update(clause)
+            clauses.append(tuple(clause))
+    return CnfFormula(n, tuple(clauses))
+
+
+# ---------------------------------------------------------------------------
+# the SAT construction, vertex by vertex
+
+
+def reference_clause_marker(m: int, j: int) -> Tree:
+    """Clause marker j of m: ``m - j + 1`` root children with ``j`` leaves each."""
+    b = TreeBuilder()
+    for _ in range(m - j + 1):
+        child = b.add_child(b.root)
+        for _ in range(j):
+            b.add_child(child)
+    return b.build()
+
+
+def reference_variable_gadget(index: int, cnf) -> Tree:
+    """Positive then negative branch of variable ``index``, each carrying the
+    markers of the clauses that hold that literal, in clause order."""
+    m = len(cnf.clauses)
+    b = TreeBuilder()
+    positive = b.add_child(b.root)
+    negative = b.add_child(b.root)
+    for j, clause in enumerate(cnf.clauses, 1):
+        if index in clause:
+            b.graft(positive, reference_clause_marker(m, j))
+        if -index in clause:
+            b.graft(negative, reference_clause_marker(m, j))
+    return b.build()
+
+
+def reference_assignment_tree(cnf, assignment) -> Tree:
+    """Per variable a branch whose one child carries the markers of the
+    clauses that hold the literal the assignment makes true."""
+    m = len(cnf.clauses)
+    b = TreeBuilder()
+    for i in range(1, cnf.n + 1):
+        branch = b.add_child(b.root)
+        kept = b.add_child(branch)
+        live_literal = i if assignment[i] else -i
+        for j, clause in enumerate(cnf.clauses, 1):
+            if live_literal in clause:
+                b.graft(kept, reference_clause_marker(m, j))
+    return b.build()
+
+
+def reference_sat_dataset(cnf) -> list[Tree]:
+    """Template, the templates dropping marker 1..m, then the formula tree."""
+    m = len(cnf.clauses)
+
+    def template(omit) -> Tree:
+        b = TreeBuilder()
+        for _ in range(cnf.n):
+            branch = b.add_child(b.root)
+            bundle = b.add_child(branch)
+            for j in range(1, m + 1):
+                if j != omit:
+                    b.graft(bundle, reference_clause_marker(m, j))
+        return b.build()
+
+    formula = TreeBuilder()
+    for i in range(1, cnf.n + 1):
+        formula.graft(formula.root, reference_variable_gadget(i, cnf))
+    return [template(None), *(template(j) for j in range(1, m + 1)), formula.build()]

@@ -174,6 +174,25 @@ def test_parse_error_exit_code_names_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_malformed_integer_fields_name_their_line(capsys, tmp_path):
+    good = tmp_path / "good.db"
+    good.write_text("# n=4\n1 2\n")
+    cases = {
+        "a b\n1 2\n": ["oracle", "mis", "--input"],
+        "p cnf x 2\n1 0\n2 0\n": ["verify", "sat", "--input"],
+        "# n=abc\n1 2\n": ["verify", "itemset", "--input"],
+        "1 x\n": ["gen", "itemset", "--input", good.as_posix(), "--solutions"],
+    }
+    bad = tmp_path / "bad.txt"
+    for text, argv in cases.items():
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, *argv, bad.as_posix())
+        assert code == 2, (argv, err)
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "line 1" in errors[0], (argv, err)
+
+
 def test_size_guard_exit_code(capsys, tmp_path):
     path = tmp_path / "wide.trees"
     path.write_text("(" + "()" * 40 + ")\n")

@@ -1,9 +1,18 @@
 import random
+import warnings
 from itertools import combinations
 
 import pytest
 
-from shrubmine import ConstraintError, FormatError, Hypergraph, serialize_tree, subtree_iso
+from shrubmine import (
+    ConstraintError,
+    FormatError,
+    Hypergraph,
+    SizeGuardError,
+    brute_mis,
+    serialize_tree,
+    subtree_iso,
+)
 from shrubmine.gadgets import (
     CnfFormula,
     TransactionDb,
@@ -26,13 +35,34 @@ from shrubmine.gadgets import (
     vertexset_to_tree,
 )
 
-from reference import cyclic_34_cnf, unsat_34_cnf
+from reference import (
+    cyclic_34_cnf,
+    random_34_cnf,
+    reference_assignment_tree,
+    reference_sat_dataset,
+    reference_variable_gadget,
+    unsat_34_cnf,
+)
 
 
 def all_subsets(universe):
     items = sorted(universe)
     for k in range(len(items) + 1):
         yield from (frozenset(c) for c in combinations(items, k))
+
+
+def statuses(report):
+    return [(c.name, c.status) for c in report.checks]
+
+
+def random_relabelling(rng, n):
+    return dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+
+
+def quiet_sat_gadget(cnf):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return sat_gadget(cnf)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +255,42 @@ def test_verify_sat_unsat_formula_every_assignment_fits_some_dropped():
         )
 
 
+def test_sat_builders_match_the_vertex_by_vertex_reference():
+    rng = random.Random(22)
+    for _ in range(200):
+        cnf = random_34_cnf(rng, 5, 7)
+        expected = reference_sat_dataset(cnf)
+        assert [serialize_tree(t) for t in quiet_sat_gadget(cnf).dataset.trees] == [
+            serialize_tree(t) for t in expected
+        ]
+        for i in range(1, cnf.n + 1):
+            assert serialize_tree(variable_gadget_tree(i, cnf)) == serialize_tree(
+                reference_variable_gadget(i, cnf)
+            )
+        for _ in range(3):
+            alpha = {i: rng.random() < 0.5 for i in range(1, cnf.n + 1)}
+            assert serialize_tree(assignment_tree(cnf, alpha)) == serialize_tree(
+                reference_assignment_tree(cnf, alpha)
+            )
+
+
+def test_verify_sat_statuses_survive_renaming_flipping_and_clause_order():
+    rng = random.Random(7)
+    for case in range(60):
+        cnf = random_34_cnf(rng, 6, 6)
+        rename = random_relabelling(rng, cnf.n)
+        flip = {v: rng.choice((-1, 1)) for v in range(1, cnf.n + 1)}
+        image = [
+            tuple(flip[abs(lit)] * (rename[lit] if lit > 0 else -rename[-lit]) for lit in clause)
+            for clause in cnf.clauses
+        ]
+        moved = CnfFormula(cnf.n, tuple(rng.sample(image, len(image))))
+        samples = rng.randint(1, 12)
+        assert statuses(verify_gadget("sat", quiet_sat_gadget(cnf), seed=case, samples=samples)) == (
+            statuses(verify_gadget("sat", quiet_sat_gadget(moved), seed=case, samples=samples))
+        ), (cnf, moved)
+
+
 # ---------------------------------------------------------------------------
 # dualization family
 
@@ -266,6 +332,28 @@ def test_verify_dual_example_counts():
     counts = dict(report.checks[1].details)
     assert counts["independent_sets"] == 4
     assert counts["maximal_common_trees"] == 5
+
+
+def test_verify_dual_statuses_survive_vertex_relabelling():
+    rng = random.Random(8)
+    verified = 0
+    while verified < 18:
+        n = rng.randint(1, 5)
+        edges = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))) for _ in range(rng.randint(1, 4))]
+        relabel = random_relabelling(rng, n)
+        h = Hypergraph.from_edges(n, edges)
+        moved = Hypergraph.from_edges(n, [frozenset(relabel[v] for v in e) for e in edges])
+        assert brute_mis(moved) == {frozenset(relabel[v] for v in s) for s in brute_mis(h)}
+        try:
+            instance = gen_dualization_instance(h)
+        except ConstraintError:
+            with pytest.raises(ConstraintError):
+                gen_dualization_instance(moved)
+            continue
+        assert statuses(verify_gadget("dual", instance)) == statuses(
+            verify_gadget("dual", gen_dualization_instance(moved))
+        ), (h, moved)
+        verified += 1
 
 
 def test_vertexset_roundtrip_exhaustive():
@@ -327,6 +415,27 @@ def test_maximal_frequent_itemsets_brute():
     assert maximal_frequent_itemsets(db, 4) == {frozenset()}
     with pytest.raises(ValueError):
         maximal_frequent_itemsets(db, 0)
+    with pytest.raises(SizeGuardError, match="^21 items exceeds the brute-force cap of 20$"):
+        maximal_frequent_itemsets(TransactionDb(21, ()), 1)
+
+
+def test_verify_itemset_statuses_survive_item_permutation():
+    rng = random.Random(9)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))) for _ in range(rng.randint(1, 6))]
+        theta = rng.randint(1, 3)
+        permute = random_relabelling(rng, n)
+        db = TransactionDb(n, tuple(rows))
+        moved = TransactionDb(n, tuple(frozenset(permute[x] for x in row) for row in rows))
+        maximal = maximal_frequent_itemsets(db, theta)
+        moved_maximal = maximal_frequent_itemsets(moved, theta)
+        assert moved_maximal == {frozenset(permute[x] for x in s) for s in maximal}
+        reports = [
+            verify_gadget("itemset", gen_itemset_instance(d, sorted(sets, key=sorted), theta))
+            for d, sets in ((db, maximal), (moved, moved_maximal))
+        ]
+        assert statuses(reports[0]) == statuses(reports[1]), (db, moved, theta)
 
 
 def test_gen_itemset_instance_layout():

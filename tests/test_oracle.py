@@ -179,7 +179,7 @@ def test_brute_mis_members_are_independent_and_incomparable():
 
 
 def test_brute_mis_size_guard():
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match="^25 vertices exceeds the brute-force cap of 20$"):
         brute_mis(Hypergraph.from_edges(25, [{1}]))
 
 
