@@ -13,13 +13,6 @@ source problem:
 
 ``verify_gadget`` replays the defining facts of each family on a concrete
 instance and reports one pass/fail line per check.
-
-The satisfiability trees are grafted from shared parts.  Clause marker j
-of m is the signature tree of ``(j + 1,) * (m - j + 1)``, built once per
-process by a bounded cache, and the templates, the variable gadgets and
-every assignment tree graft copies of it.  The maximal frequent itemsets
-come from the oracle module's subset sweep, which also gives its maximal
-independent sets.
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstraintError, FormatError
 from .isomorphism import subtree_iso
-from .oracle import Hypergraph, _maximal_subsets, brute_maximal, brute_mct, brute_mis
+from .oracle import Hypergraph, brute_maximal, brute_mct, brute_mis, maximal_subsets
 from .signatures import tree_from_signature
 from .trees import Dataset, Tree, TreeBuilder, canonical_form
 
@@ -197,10 +190,8 @@ def clause_marker_tree(m: int, j: int) -> Tree:
     """Height-2 marker for clause ``j`` of ``m``: ``m - j + 1`` children,
     each carrying exactly ``j`` leaves.  Pairwise incomparable across j.
 
-    The marker is the signature tree of ``(j + 1,) * (m - j + 1)``, and
-    every builder of one process grafts the same cached copy.  The cache
-    holds every marker of a formula with up to 256 clauses; together they
-    are smaller than one of that formula's templates."""
+    Cached because every builder grafts the same m markers; 256 entries
+    hold all markers of a 256-clause formula, less than one template."""
     if not 1 <= j <= m:
         raise ValueError(f"clause index {j} out of range 1..{m}")
     return tree_from_signature((j + 1,) * (m - j + 1))
@@ -441,10 +432,10 @@ def maximal_frequent_itemsets(db: TransactionDb, theta: int) -> set[frozenset[in
     """Brute-force maximal frequent itemsets by full subset sweep."""
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
-    row_masks = [sum(1 << (x - 1) for x in row) for row in db.itemsets]
-    return _maximal_subsets(
+    return maximal_subsets(
         db.n,
-        lambda mask: sum(1 for row in row_masks if row & mask == mask) >= theta,
+        db.itemsets,
+        lambda mask, rows: sum(1 for row in rows if row & mask == mask) >= theta,
         "items",
     )
 

@@ -12,11 +12,6 @@ algebra, so these routines can sit on the other side of every equivalence
 test.  Hard size guards refuse inputs beyond desk scale instead of running
 for hours.
 
-The set-system oracles, maximal independent sets of a hypergraph here and
-maximal frequent itemsets in the gadgets module, are two predicates over
-one subset sweep (``_maximal_subsets``): it asks the predicate once per
-subset and reads the one-element extensions from the table of answers.
-
 A pattern *occurs* in a tree when its root can map onto the tree's root,
 i.e. occurrences are the parent-closed vertex subsets containing the root.
 Root-aligned occurrence is what the whole mining side uses: it keeps
@@ -28,7 +23,8 @@ the isomorphism module has its own independent oracle in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import compress, repeat
+from typing import Callable, Iterable
 
 from .errors import SizeGuardError
 from .trees import Dataset, Mode, Tree, check_mode, join_encodings, parse_tree
@@ -236,23 +232,29 @@ def brute_mct(dataset: Dataset, universe: PatternUniverse | None = None) -> dict
     return brute_maximal(dataset, len(dataset.trees), universe)
 
 
-def _maximal_subsets(n: int, keep: Callable[[int], bool], elements: str) -> set[frozenset[int]]:
+def maximal_subsets(
+    n: int,
+    sets: Iterable[Iterable[int]],
+    keep: Callable[[int, list[int]], bool],
+    elements: str,
+) -> set[frozenset[int]]:
     """The maximal subsets of ``1..n`` that ``keep`` accepts, by subset sweep.
 
-    ``keep`` sees each subset once, as a bitmask with bit ``v - 1`` for
-    element ``v``, and its answers fill a table of ``2**n`` bytes.  A kept
-    subset is maximal when no one-element extension of it is kept.
-    ``elements`` names the ground set in the size-guard message.
+    ``keep(subset, masks)`` is asked once per subset, with the subset and
+    each of ``sets`` as bitmasks (bit ``v - 1`` for element ``v``).  The
+    size guard, whose message names the ground set as ``elements``, runs
+    before any mask is built: a huge element id costs nothing.
     """
     if n > MAX_SWEEP_ELEMENTS:
         raise SizeGuardError(
             f"{n} {elements} exceeds the brute-force cap of {MAX_SWEEP_ELEMENTS}"
         )
-    kept = bytearray(map(keep, range(1 << n)))
+    masks = [sum(1 << (v - 1) for v in s) for s in sets]
+    kept = bytearray(map(keep, range(1 << n), repeat(masks)))
     bits = [1 << v for v in range(n)]
     maximal: set[frozenset[int]] = set()
-    for subset in range(1 << n):
-        if kept[subset] and not any(kept[subset | bit] for bit in bits if not subset & bit):
+    for subset in compress(range(1 << n), kept):
+        if not any(kept[subset | bit] for bit in bits if not subset & bit):
             maximal.add(frozenset(v + 1 for v, bit in enumerate(bits) if subset & bit))
     return maximal
 
@@ -263,7 +265,6 @@ def brute_mis(h: Hypergraph) -> set[frozenset[int]]:
     A set is independent when it fully contains no hyperedge, and maximal
     when every one-vertex extension stops being independent.
     """
-    edge_masks = [sum(1 << (v - 1) for v in e) for e in h.edges]
-    return _maximal_subsets(
-        h.n, lambda subset: not any(subset & e == e for e in edge_masks), "vertices"
+    return maximal_subsets(
+        h.n, h.edges, lambda subset, edges: not any(subset & e == e for e in edges), "vertices"
     )

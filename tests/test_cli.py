@@ -201,6 +201,29 @@ def test_size_guard_exit_code(capsys, tmp_path):
     assert "cap" in err
 
 
+def test_subset_sweep_guard_precedes_any_bitmask(capsys, tmp_path):
+    huge = 1 << 26  # its bitmask alone would take 8 MB
+    hg = tmp_path / "big.hg"
+    hg.write_text(f"{huge} 1\n{huge}\n")
+    db = tmp_path / "big.db"
+    db.write_text(f"{huge}\n" * 3)
+    cases = [
+        (["oracle", "mis", "--input", hg.as_posix()], "vertices"),
+        (["gen", "itemset", "--input", db.as_posix(), "--out", (tmp_path / "o").as_posix()], "items"),
+        (["verify", "itemset", "--input", db.as_posix()], "items"),
+    ]
+    for argv, elements in cases:
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, ""), (argv, err)
+        assert err == f"error: {huge} {elements} exceeds the brute-force cap of 20\n"
+        assert peak < 6_000_000, (argv, peak)
+
+
 def test_oracle_mis_example(capsys, tmp_path):
     path = tmp_path / "h.hg"
     path.write_text("4 2\n1 2\n3 4\n")
