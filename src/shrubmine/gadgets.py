@@ -87,6 +87,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         if not line or line.startswith(("c", "#", "%")):
             continue
         if line.startswith("p"):
+            if n is not None:
+                raise FormatError(f"second DIMACS header on line {lineno}: {line!r}")
             parts = line.split()
             bad_header = f"bad DIMACS header on line {lineno}: {line!r}"
             if len(parts) != 4 or parts[1] != "cnf":
@@ -134,7 +136,7 @@ class TransactionDb:
 def parse_transactions(text: str) -> TransactionDb:
     """One space-separated itemset per line; optional ``# n=<int>`` header."""
     n = None
-    rows: list[frozenset[int]] = []
+    rows: list[tuple[int, str, frozenset[int]]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -147,10 +149,13 @@ def parse_transactions(text: str) -> TransactionDb:
         items = _ints(line.split(), f"non-integer item on line {lineno}: {line!r}")
         if any(x < 1 for x in items):
             raise FormatError(f"items must be positive, line {lineno}: {line!r}")
-        rows.append(frozenset(items))
+        rows.append((lineno, line, frozenset(items)))
     if n is None:
-        n = max((max(r) for r in rows if r), default=0)
-    return TransactionDb(n, tuple(rows))
+        n = max((max(items) for _, _, items in rows if items), default=0)
+    for lineno, line, items in rows:
+        if any(x > n for x in items):
+            raise FormatError(f"item outside 1..{n} on line {lineno}: {line!r}")
+    return TransactionDb(n, tuple(items for _, _, items in rows))
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

@@ -15,7 +15,7 @@ common trees appear, and closures stop being well defined.  The dataset
 The search walks an implicit forest over the closed frequent patterns
 rooted at the closure of the whole dataset.  Every solution is emitted
 exactly once, depth first, with working memory bounded by the parent-chain
-depth times one frame (a node, its row counts and its pending candidates),
+depth times one frame (a node, its parent masks and its pending candidates),
 never by the number of solutions, so no visited set is kept.
 
 Parent rule: for a closed non-root pattern P, the parent is the closure of
@@ -37,49 +37,74 @@ signatures are padded with zeros, so dominance is the pointwise order, the
 meet is the pointwise minimum, and the tuple order is the lexicographic
 order of the padded entries (the entries are positive).
 
+Support masks.  A support is an ``int`` bitmask over dataset indices (bit i
+is tree i), as in vertical-bitmap itemset miners (Burdick, Calimlim and
+Gehrke, MAFIA, ICDE 2001); it becomes a :class:`SupportSet` only where a
+search node or a public function hands it out.  The index holds for each
+row r the ascending distinct entries of the dataset in that row and, for
+each such width w, the mask ``at_least(r, w)`` of the trees whose entry is
+at least w.  Adjacent rows share one entry unless some tree's entry drops
+between them, so the index has one entry per run of equal rows, each
+holding one mask per distinct width: a 200000-leaf star adds two entries,
+not 200000.  It is built once per dataset; the miner builds it after
+emitting the root, so a run that stops at the root never pays for it.
+
 One-row supports.  A one-leaf extension of n adds one cell in a single row
 r: a new root child (r = len(n)) or one more leaf under the first child of
 a run of equal entries (the rest give the same signature; leaves at depth 2
 cannot take a child in the height-2 universe).  An extension's supporters
-are among n's, so only n's support is scanned ("occurrence deliver", as in
+are among n's, so only n's support is filtered ("occurrence deliver", as in
 Uno, Kiyomi and Arimura, LCM ver. 2), and a supporter s of n, already
-pointwise at least n, supports the extension exactly when s[r] > n[r].
+pointwise at least n, supports the extension exactly when s[r] > n[r]: its
+support is ``mask(n) & at_least(r, n[r] + 1)``, its size
+``int.bit_count()``.  The closure of a support S reads no signature: in
+each row it is the widest width whose mask contains S, and it ends at the
+first row where that width is 0.  A run of equal rows gives the same width
+all along, so a closure costs one scan per index entry.  So does the
+support of a pattern p, the AND over the entries of ``at_least(r, p[r])``
+at each entry's first row r, since p is non-increasing.
 
-Row counts.  The search never computes a candidate's parent; it only
-decides whether the emitting node n is that parent.  Let cnt[i] count the
-dataset signatures s with s[k] >= n[k] for every k < i and s[i] > n[i],
-one pass over the dataset per emitted node.  A
+Parent masks.  The search never computes a candidate's parent; it only
+decides whether the emitting node n is that parent.  Let prefix_i be the
+trees s with s[k] >= n[k] for every k < i, and ``wider[i] = prefix_i &
+at_least(i, n[i] + 1)``, computed once per node that has candidates.  A
 candidate c with support C (the closure of a one-leaf extension of n, so c
 is pointwise at least n and differs from it) has parent n exactly when
-cnt[i] == |C| at every row i where c[i] > n[i].  Sketch:
+wider[i] == C at every row i where c[i] > n[i].  Sketch:
 
-- meet(c, s) is tuple-larger than n iff s counts at some row where c
-  exceeds n: the meet's first difference from n is such a row, and
+- meet(c, s) is tuple-larger than n iff s lies in wider[i] at some row i
+  where c exceeds n: the meet's first difference from n is such a row, and
   conversely at such a row i the meet exceeds n[i] while every earlier row
   holds at least n's entry;
-- every supporter s of c counts at every such row i, as s >= c >= n on
-  every row and s[i] >= c[i] > n[i];
+- every supporter s of c lies in wider[i] at every such row i, as s >= c >= n
+  on every row and s[i] >= c[i] > n[i], so C is a subset of wider[i] and
+  equal sizes would already mean equal sets;
 - the trees of supp(n) outside C, never none since c != n, give meets that
   dominate n, so the largest candidate meet is never below n.
 
-So the largest meet is n exactly when no tree outside C counts at a row
-where c exceeds n, which costs O(d) per candidate instead of one meet with
-every tree outside its support.  :func:`parent_of` still computes the
-parent itself, since it must name it.
+So the largest meet is n exactly when no tree outside C lies in wider[i] at
+a row where c exceeds n.  Past len(n), prefix_i stays supp(n) and wider[i]
+only shrinks, while a row there where c exceeds n makes c exceed n at row
+len(n) too, so the rows up to len(n) suffice: a node costs O(len(n)) mask
+operations, not a pass over the dataset.  :func:`parent_of` still computes
+the parent itself, since it must name it.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from itertools import repeat
+from operator import neg
+from typing import Callable
 
 from .errors import ConstraintError
 from .signatures import (
     Signature,
     signature_key,
-    signature_leq,
     signature_of,
     signatures_meet,
     tree_from_signature,
@@ -143,33 +168,115 @@ def _dataset_signatures(dataset: Dataset) -> tuple[Signature, ...]:
     return tuple(sigs)
 
 
-def _support(psig: Signature, sigs: tuple[Signature, ...], among: Iterable[int]) -> SupportSet:
-    """The indices in ``among`` whose signature dominates ``psig``."""
-    return SupportSet.from_indices(i for i in among if signature_leq(psig, sigs[i]))
+class _SupportIndex:
+    """Per-row support masks of a dataset's signatures (see the module notes).
+
+    ``spans`` holds ``(start, end, entry)``: the entry serves rows ``start``
+    up to ``end`` (exclusive), where ``start`` runs over ``starts``; the last
+    one, where every tree has ended, serves every row from there on.  An
+    entry is ``(widths, masks)``: the ascending distinct widths of its
+    rows and, for each, the mask of the trees at least that wide, followed
+    by a 0 for any larger width, so ``masks[bisect_left(widths, w)]`` is the
+    mask of the trees at least ``w`` wide.
+    """
+
+    def __init__(self, sigs: tuple[Signature, ...]) -> None:
+        self.full = (1 << len(sigs)) - 1
+        cuts = {0}
+        for s in sigs:
+            i = 0
+            while i < len(s):  # the rows where s drops: ends of its runs
+                i = bisect_right(s, -s[i], i, key=neg)
+                cuts.add(i)
+        self.starts = sorted(cuts)
+        ends = self.starts[1:] + [sys.maxsize]
+        self.spans = [(a, b, self._entry(sigs, a)) for a, b in zip(self.starts, ends)]
+
+    @staticmethod
+    def _entry(sigs: tuple[Signature, ...], row: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        exact: dict[int, int] = {}
+        for i, s in enumerate(sigs):
+            x = s[row] if row < len(s) else 0
+            exact[x] = exact.get(x, 0) | 1 << i
+        widths = sorted(exact)
+        masks, acc = [0], 0
+        for w in reversed(widths):
+            acc |= exact[w]
+            masks.append(acc)
+        return tuple(widths), tuple(reversed(masks))
+
+    def at_least(self, row: int, width: int) -> int:
+        """Mask of the trees whose entry in ``row`` is at least ``width``."""
+        widths, masks = self.spans[bisect_right(self.starts, row) - 1][2]
+        return masks[bisect_left(widths, width)]
+
+    def support(self, sig: Signature) -> int:
+        """Mask of the trees whose signature dominates ``sig``: one test per
+        entry, at its first row, where the non-increasing ``sig`` asks most."""
+        mask = self.full
+        for start, _, (widths, masks) in self.spans:
+            if start >= len(sig):
+                break
+            mask &= masks[bisect_left(widths, sig[start])]
+        return mask
+
+    def closure(self, mask: int) -> Signature:
+        """Meet of the signatures of the non-empty support ``mask``: per
+        entry, the widest width whose mask contains ``mask``."""
+        out: list[int] = []
+        for start, end, (widths, masks) in self.spans:
+            j = len(widths) - 1
+            while masks[j] & mask != mask:
+                j -= 1
+            if widths[j] == 0:
+                break
+            out += repeat(widths[j], end - start)
+        return tuple(out)
+
+    def wider(self, sig: Signature) -> list[int]:
+        """``wider[i]`` for rows ``0..len(sig)``: the trees at least ``sig``
+        before row ``i`` and wider than it in row ``i``."""
+        out, prefix = [], self.full
+        padded = sig + (0,)
+        for start, end, (widths, masks) in self.spans:
+            for x in padded[start:end]:
+                out.append(prefix & masks[bisect_right(widths, x)])
+                prefix &= masks[bisect_left(widths, x)]
+            if end >= len(padded):
+                break
+        return out
 
 
-def _meet(sigs: tuple[Signature, ...], support: SupportSet) -> Signature:
-    return signatures_meet([sigs[i] for i in support.indices])
+@lru_cache(maxsize=8)
+def _support_index(dataset: Dataset) -> _SupportIndex:
+    return _SupportIndex(_dataset_signatures(dataset))
 
 
-def _locate(pattern: Tree, dataset: Dataset) -> tuple[tuple[Signature, ...], SearchNode]:
-    """Validate ``dataset`` and pair the pattern's signature with its support."""
-    sigs = _dataset_signatures(dataset)
+def _support_set(mask: int) -> SupportSet:
+    """The indices of the set bits of ``mask``, ascending."""
+    idx = [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    return SupportSet(tuple(idx), len(idx))
+
+
+def _locate(pattern: Tree, dataset: Dataset) -> tuple[_SupportIndex, Signature, int]:
+    """Validate and index ``dataset``; pair the pattern's signature with its
+    support mask."""
+    index = _support_index(dataset)
     psig = signature_of(pattern)
-    return sigs, SearchNode(psig, _support(psig, sigs, range(len(sigs))))
+    return index, psig, index.support(psig)
 
 
-def _closed(pattern: Tree, dataset: Dataset) -> tuple[tuple[Signature, ...], SearchNode, Signature]:
+def _closed(pattern: Tree, dataset: Dataset) -> tuple[_SupportIndex, Signature, int, Signature]:
     """:func:`_locate` plus the closure signature, the meet of the support."""
-    sigs, node = _locate(pattern, dataset)
-    if node.support.count == 0:
+    index, psig, mask = _locate(pattern, dataset)
+    if not mask:
         raise EmptySupportError("closure undefined: pattern occurs in no dataset tree")
-    return sigs, node, _meet(sigs, node.support)
+    return index, psig, mask, index.closure(mask)
 
 
 def pattern_support(pattern: Tree, dataset: Dataset) -> SupportSet:
     """Root-aligned support: indices whose signature dominates the pattern's."""
-    return _locate(pattern, dataset)[1].support
+    return _support_set(_locate(pattern, dataset)[2])
 
 
 def closure(pattern: Tree, dataset: Dataset) -> Tree:
@@ -177,21 +284,19 @@ def closure(pattern: Tree, dataset: Dataset) -> Tree:
 
     The result contains ``pattern`` and has exactly the same support.
     """
-    return tree_from_signature(_closed(pattern, dataset)[2])
+    return tree_from_signature(_closed(pattern, dataset)[3])
 
 
 def is_closed(pattern: Tree, dataset: Dataset) -> bool:
     """A pattern is closed when it equals its own closure."""
-    _, node, closed = _closed(pattern, dataset)
-    return node.sig == closed
+    _, psig, _, closed = _closed(pattern, dataset)
+    return psig == closed
 
 
-def _parent_sig(node: SearchNode, sigs: tuple[Signature, ...]) -> Signature:
-    """Parent signature of a closed non-root node (see the module notes)."""
-    inside = set(node.support.indices)
-    return max(
-        signatures_meet([node.sig, s]) for i, s in enumerate(sigs) if i not in inside
-    )
+def _parent_sig(sig: Signature, mask: int, sigs: tuple[Signature, ...]) -> Signature:
+    """Parent signature of a closed non-root node with support ``mask``
+    (see the module notes)."""
+    return max(signatures_meet([sig, s]) for i, s in enumerate(sigs) if not mask >> i & 1)
 
 
 def parent_of(pattern: Tree, dataset: Dataset) -> Tree:
@@ -200,34 +305,10 @@ def parent_of(pattern: Tree, dataset: Dataset) -> Tree:
     Support strictly grows from child to parent, so iterating reaches the
     dataset closure in at most ``len(dataset)`` steps.
     """
-    sigs, node, closed = _closed(pattern, dataset)
-    if node.support.count == len(sigs):
+    index, _, mask, closed = _closed(pattern, dataset)
+    if mask == index.full:
         raise RootPatternError("the dataset closure has no parent")
-    return tree_from_signature(_parent_sig(SearchNode(closed, node.support), sigs))
-
-
-def _row_counts(sig: Signature, sigs: tuple[Signature, ...]) -> list[int]:
-    """``cnt[i]``: dataset signatures at least ``sig`` on every row before
-    ``i`` and wider than it in row ``i`` (zero padded; see the module notes)."""
-    width = max(map(len, sigs))
-    padded = sig + (0,) * (width - len(sig))
-    cnt = [0] * width
-    for s in sigs:
-        for i, x in enumerate(s):
-            y = padded[i]
-            if x > y:
-                cnt[i] += 1
-            elif x < y:
-                break
-    return cnt
-
-
-def _is_parent(sig: Signature, counts: list[int], child: SearchNode) -> bool:
-    """Whether ``sig`` is the parent of ``child``, a closure of one of its
-    one-leaf extensions, given ``counts == _row_counts(sig, sigs)``."""
-    padded = sig + (0,) * (len(child.sig) - len(sig))
-    k = child.support.count
-    return all(counts[i] == k for i, (x, y) in enumerate(zip(child.sig, padded)) if x > y)
+    return tree_from_signature(_parent_sig(closed, mask, _dataset_signatures(dataset)))
 
 
 def _corner_rows(sig: Signature) -> list[int]:
@@ -236,40 +317,40 @@ def _corner_rows(sig: Signature) -> list[int]:
     return [len(sig)] + [i for i, x in enumerate(sig) if i == 0 or x != sig[i - 1]]
 
 
-def _row_support(node: SearchNode, sigs: tuple[Signature, ...], row: int) -> SupportSet:
-    """Support of ``node.sig`` plus one cell in ``row``: the supporters of
-    ``node`` wider than it in that row (see the module notes)."""
-    cells = node.sig[row] if row < len(node.sig) else 0
-    return SupportSet.from_indices(
-        i for i in node.support.indices if len(sigs[i]) > row and sigs[i][row] > cells
-    )
-
-
-def _neighbor_nodes(
-    node: SearchNode, sigs: tuple[Signature, ...], theta: int
-) -> list[SearchNode]:
-    """Closures of frequent one-leaf extensions, in :func:`_corner_rows`
-    order, deduplicated, self excluded."""
-    out: list[SearchNode] = []
-    seen = {node.sig}
-    for row in _corner_rows(node.sig):
-        sup = _row_support(node, sigs, row)
-        if sup.count < theta:
+def _extensions(
+    index: _SupportIndex, sig: Signature, mask: int, theta: int
+) -> list[tuple[Signature, int]]:
+    """Closures of frequent one-leaf extensions of ``sig`` with support
+    ``mask``, paired with their support masks, in :func:`_corner_rows`
+    order, deduplicated, ``sig`` itself excluded."""
+    out = []
+    seen = {sig}
+    padded = sig + (0,)
+    for row in _corner_rows(sig):
+        sup = mask & index.at_least(row, padded[row] + 1)
+        if sup.bit_count() < theta:
             continue
-        closed = _meet(sigs, sup)
+        closed = index.closure(sup)
         if closed in seen:
             continue
         seen.add(closed)
-        out.append(SearchNode(closed, sup))
+        out.append((closed, sup))
     return out
+
+
+def _parent_accepts(wider: list[int], sig: Signature, child: Signature, mask: int) -> bool:
+    """Whether ``sig``, whose parent masks are ``wider``, is the parent of
+    ``child``, the closure of one of its one-leaf extensions, with support
+    ``mask`` (see the module notes)."""
+    return all(w == mask for w, x, y in zip(wider, child, sig + (0,)) if x > y)
 
 
 def neighbors(pattern: Tree, dataset: Dataset, theta: int) -> list[Tree]:
     """Neighbor patterns of a closed frequent tree, at most one per vertex."""
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
-    sigs, node = _locate(pattern, dataset)
-    return [n.pattern for n in _neighbor_nodes(node, sigs, theta)]
+    index, psig, mask = _locate(pattern, dataset)
+    return [tree_from_signature(c) for c, _ in _extensions(index, psig, mask, theta)]
 
 
 def enumerate_closed(
@@ -309,32 +390,33 @@ def enumerate_closed(
 
     if not emit(root):
         return summary
+    index = _support_index(dataset)
 
-    def frame(node: SearchNode) -> tuple[SearchNode, list[int], list[SearchNode]]:
-        # reversed so that pop() walks neighbors in their generation order
-        pending = list(reversed(_neighbor_nodes(node, sigs, config.theta)))
-        return node, _row_counts(node.sig, sigs), pending
+    def frame(sig: Signature, mask: int) -> tuple[Signature, list[int] | None, list]:
+        # reversed so that pop() walks the candidates in their generation order
+        pending = _extensions(index, sig, mask, config.theta)[::-1]
+        return sig, index.wider(sig) if pending else None, pending
 
-    # Each frame is (node, its row counts, pending neighbor nodes); a child
-    # is expanded only when the frame's node is its parent, decided from the
-    # row counts, which visits every solution exactly once without
-    # remembering emitted keys.
-    stack = [frame(root)]
+    # Each frame is (signature, its parent masks, pending (closure, support
+    # mask) candidates); a child is expanded only when the frame's node is
+    # its parent, decided from the parent masks, which visits every
+    # solution exactly once without remembering emitted keys.
+    stack = [frame(root.sig, index.full)]
     live = len(stack[0][2])
     summary.peak_stack_depth = 1
     summary.peak_live_candidates = live
     while stack:
-        node, counts, pending = stack[-1]
+        sig, wider, pending = stack[-1]
         if not pending:
             stack.pop()
             continue
-        child = pending.pop()
+        child, mask = pending.pop()
         live -= 1
-        if not _is_parent(node.sig, counts, child):
+        if not _parent_accepts(wider, sig, child, mask):
             continue
-        if not emit(child):
+        if not emit(SearchNode(child, _support_set(mask))):
             return summary
-        stack.append(frame(child))
+        stack.append(frame(child, mask))
         live += len(stack[-1][2])
         summary.peak_stack_depth = max(summary.peak_stack_depth, len(stack))
         summary.peak_live_candidates = max(summary.peak_live_candidates, live)

@@ -132,6 +132,34 @@ def naive_signature_leq(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
     return search(0, 0)
 
 
+def _columns(sig: tuple[int, ...]) -> tuple[int, ...]:
+    """Column heights of the Young diagram with ``sig`` as its rows."""
+    return tuple(sum(1 for x in sig if x > k) for k in range(max(sig, default=0)))
+
+
+def meet_closed(sigs, theta: int) -> dict[tuple[int, ...], int]:
+    """Closed ``theta``-frequent signatures with their support sizes.
+
+    Every closed pattern is the meet of its supporters, so the dataset is
+    folded in one signature at a time, ``closed <- closed | {s} |
+    {meet(c, s) : c in closed}``, and the members whose support by
+    dominance is at least ``theta`` are kept.  Signatures are handled as
+    diagram columns: the meet takes columnwise minima and dominance compares
+    columns, the transpose of the package's row-wise algebra.
+    """
+    cols = [_columns(s) for s in sigs]
+    closed: set[tuple[int, ...]] = set()
+    for c in cols:
+        closed |= {tuple(map(min, zip(d, c))) for d in closed}
+        closed.add(c)
+    out = {}
+    for d in closed:
+        count = sum(1 for c in cols if len(d) <= len(c) and all(map(int.__le__, d, c)))
+        if count >= theta:
+            out[_columns(d)] = count  # the transpose of columns is rows
+    return out
+
+
 # ---------------------------------------------------------------------------
 # tree pools
 

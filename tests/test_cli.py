@@ -193,6 +193,31 @@ def test_malformed_integer_fields_name_their_line(capsys, tmp_path):
         assert len(errors) == 1 and "line 1" in errors[0], (argv, err)
 
 
+def _one_error_on_line(err: str, lineno: int) -> bool:
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    return "Traceback" not in err and len(errors) == 1 and f"line {lineno}:" in errors[0]
+
+
+def test_second_dimacs_header_is_refused(capsys, tmp_path):
+    # the second header used to replace the first: an n = 2 gadget, exit 0
+    cnf = tmp_path / "two.cnf"
+    cnf.write_text("p cnf 3 1\np cnf 2 1\n1 2 0\n")
+    out = tmp_path / "gadget.trees"
+    code, stdout, err = run_cli(capsys, "gen", "sat", "--input", cnf.as_posix(), "--out", out.as_posix())
+    assert code == 2 and stdout == "" and not out.exists()
+    assert _one_error_on_line(err, 2), err
+
+
+def test_out_of_range_item_names_its_line(capsys, tmp_path):
+    # the bad row is the second transaction but sits on line 3
+    db = tmp_path / "range.db"
+    db.write_text("# n=2\n1 2\n1 5\n")
+    for argv in (["verify", "itemset"], ["gen", "itemset", "--out", (tmp_path / "o").as_posix()]):
+        code, _, err = run_cli(capsys, *argv, "--input", db.as_posix())
+        assert code == 2, (argv, err)
+        assert _one_error_on_line(err, 3), (argv, err)
+
+
 def test_size_guard_exit_code(capsys, tmp_path):
     path = tmp_path / "wide.trees"
     path.write_text("(" + "()" * 40 + ")\n")

@@ -95,6 +95,11 @@ def test_parse_transactions():
     assert parse_transactions("2 7\n").n == 7
     with pytest.raises(FormatError):
         parse_transactions("1 x\n")
+    with pytest.raises(FormatError, match="line 3"):
+        parse_transactions("# n=2\n1 2\n1 5\n")
+    # a database built directly is still checked, by transaction number
+    with pytest.raises(ValueError, match="transaction 2 "):
+        TransactionDb(2, (frozenset({1, 2}), frozenset({1, 5})))
 
 
 def test_parse_hypergraph():

@@ -1,5 +1,6 @@
 import random
 import zlib
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -32,15 +33,15 @@ from shrubmine import (
 from shrubmine.mining import (
     _corner_rows,
     _dataset_signatures,
-    _is_parent,
-    _neighbor_nodes,
+    _extensions,
+    _parent_accepts,
     _parent_sig,
-    _row_counts,
-    _row_support,
-    _support,
+    _support_index,
+    _support_set,
 )
 
 from reference import (
+    meet_closed,
     partitions,
     random_h2_dataset,
     random_shrub_signatures,
@@ -308,6 +309,52 @@ def test_emission_order_is_pinned():
     assert stream_crc(ds, range(1, len(ds.trees) + 1)) == (72, 4261327507)
 
 
+def _bench_contents():
+    """The seed-1 contents of the bench mine workloads with their theta:
+    mine-dup's duplicate-heavy shrubs and mine-distinct's first 220
+    partitions (by total, then largest part first)."""
+    dup = random_shrub_signatures(random.Random(1), 150, width=8, fanout=4, dup=0.5)
+    distinct = [sig for total in range(1, 13) for sig in partitions(total)][:220]
+    return [(dup, 5), (distinct, 1)]
+
+
+def test_bench_scale_streams_are_pinned():
+    # The CLI stdout of both bench mine workloads at seed 1: CRC-32 of the
+    # newline-terminated canon stream, equal to bench/record.json's
+    # stdout_crc32 pins, so a changed emission order fails here first.
+    pins = [(261, 0xA15E52E6), (220, 0xCBBA2382)]
+    for (sigs, theta), pin in zip(_bench_contents(), pins):
+        got, _ = mine(sig_dataset(*sigs), theta)
+        stream = "".join(n.canon + "\n" for n in got)
+        assert (len(got), zlib.crc32(stream.encode())) == pin
+
+
+def _assert_matches_meet_fold(sigs, theta):
+    got, _ = mine(sig_dataset(*sigs), theta)
+    emitted = [n.sig for n in got]
+    assert len(emitted) == len(set(emitted))
+    assert {n.sig: n.support.count for n in got} == meet_closed(sigs, theta)
+
+
+def test_miner_matches_meet_fold_on_small_multisets():
+    # every multiset of 1 to 3 of the 19 signatures with at most 5 cells,
+    # at every theta: 4389 cases
+    small = [sig for total in range(6) for sig in partitions(total)]
+    assert len(small) == 19
+    cases = 0
+    for k in (1, 2, 3):
+        for sigs in combinations_with_replacement(small, k):
+            for theta in range(1, k + 1):
+                _assert_matches_meet_fold(list(sigs), theta)
+                cases += 1
+    assert cases == 4389
+
+
+def test_miner_matches_meet_fold_on_bench_contents():
+    for sigs, theta in _bench_contents():
+        _assert_matches_meet_fold(sigs, theta)
+
+
 def _row_rule_cases():
     rng = random.Random(11)
     for _ in range(60):
@@ -321,32 +368,64 @@ def _row_rule_cases():
 def test_row_rules_match_meet_and_dominance():
     # Walks every closed theta-frequent node through one-leaf extensions,
     # with a visited set instead of the parent rule, and checks the miner's
-    # two shortcuts on every extension and candidate against their
-    # definitions: the row-count parent decision against the tuple-largest
-    # meet, and the one-row support filter against dominance.
+    # mask routines on every extension and candidate against their
+    # definitions: the one-cell support mask against dominance over the
+    # node's supporters, the mask closure against the meet of the
+    # supporters, and the parent-mask decision against the tuple-largest
+    # meet.
     decided = 0
     for case in _row_rule_cases():
-        sigs = _dataset_signatures(sig_dataset(*case))
-        root = SearchNode(signatures_meet(sigs), SupportSet.from_indices(range(len(sigs))))
+        ds = sig_dataset(*case)
+        sigs = _dataset_signatures(ds)
+        index = _support_index(ds)
         for theta in range(1, len(sigs) + 1):
-            todo, seen = [root], {root.sig}
+            root = (signatures_meet(sigs), index.full)
+            todo, seen = [root], {root[0]}
             while todo:
-                node = todo.pop()
-                padded = node.sig + (0,)
-                for row in _corner_rows(node.sig):
-                    ext = padded[:row] + (padded[row] + 1,) + node.sig[row + 1 :]
-                    assert _row_support(node, sigs, row) == _support(
-                        ext, sigs, node.support.indices
-                    )
-                counts = _row_counts(node.sig, sigs)
-                for child in _neighbor_nodes(node, sigs, theta):
-                    is_parent = _parent_sig(child, sigs) == node.sig
-                    assert _is_parent(node.sig, counts, child) == is_parent
+                sig, mask = todo.pop()
+                supporters = _support_set(mask).indices
+                assert index.support(sig) == mask
+                padded = sig + (0,)
+                for row in _corner_rows(sig):
+                    ext = padded[:row] + (padded[row] + 1,) + sig[row + 1 :]
+                    dominating = [i for i in supporters if signature_leq(ext, sigs[i])]
+                    sup = mask & index.at_least(row, padded[row] + 1)
+                    assert _support_set(sup).indices == tuple(dominating)
+                    if dominating:
+                        meet = signatures_meet([sigs[i] for i in dominating])
+                        assert index.closure(sup) == meet
+                wider = index.wider(sig)
+                for child, child_mask in _extensions(index, sig, mask, theta):
+                    is_parent = _parent_sig(child, child_mask, sigs) == sig
+                    assert _parent_accepts(wider, sig, child, child_mask) == is_parent
                     decided += 1
-                    if child.sig not in seen:
-                        seen.add(child.sig)
-                        todo.append(child)
+                    if child not in seen:
+                        seen.add(child)
+                        todo.append((child, child_mask))
     assert decided > 5000
+
+
+def test_row_index_shares_entries_between_equal_rows():
+    # One entry per run of rows in which no tree's entry drops, not one per
+    # row: seven entries for these four trees of up to 200000 rows.
+    text = [
+        "(" + "()" * 200000 + ")",
+        "(" + "(()())" * 1000 + "()" * 50000 + ")",
+        "((()())()())",
+        "(" + "(())" * 30000 + ")",
+    ]
+    ds = Dataset.from_trees([parse_tree(t) for t in text], "unordered")
+    sigs = _dataset_signatures(ds)
+    index = _support_index(ds)
+    assert index.starts == [0, 1, 3, 1000, 30000, 51000, 200000]
+    assert len(index.spans) == len(index.starts)
+    for row in (0, 1, 2, 3, 999, 1000, 29999, 30000, 50999, 51000, 199999, 200000, 200001):
+        column = [s[row] if row < len(s) else 0 for s in sigs]
+        for width in range(5):
+            expected = sum(1 << i for i, x in enumerate(column) if x >= width)
+            assert index.at_least(row, width) == expected
+    got, _ = mine(ds, 1)
+    assert len(got) == 9
 
 
 def test_stream_ignores_tree_and_child_order():
