@@ -15,8 +15,8 @@ common trees appear, and closures stop being well defined.  The dataset
 The search walks an implicit forest over the closed frequent patterns
 rooted at the closure of the whole dataset.  Every solution is emitted
 exactly once, depth first, with working memory bounded by the parent-chain
-depth times one frame (a node, its parent masks and its pending candidates),
-never by the number of solutions, so no visited set is kept.
+depth times one frame (a node and its pending candidates), never by the
+number of solutions, so no visited set is kept.
 
 Parent rule: for a closed non-root pattern P, the parent is the closure of
 the support of P extended by one more dataset tree, chosen so that the
@@ -46,8 +46,10 @@ each such width w, the mask ``at_least(r, w)`` of the trees whose entry is
 at least w.  Adjacent rows share one entry unless some tree's entry drops
 between them, so the index has one entry per run of equal rows, each
 holding one mask per distinct width: a 200000-leaf star adds two entries,
-not 200000.  It is built once per dataset; the miner builds it after
-emitting the root, so a run that stops at the root never pays for it.
+not 200000.  It is built once per dataset, and building it is the one
+place the dataset is validated (unordered, every tree of height at most
+2).  The miner's root, the closure of the full mask, is built through it
+like every other node.
 
 One-row supports.  A one-leaf extension of n adds one cell in a single row
 r: a new root child (r = len(n)) or one more leaf under the first child of
@@ -64,30 +66,19 @@ all along, so a closure costs one scan per index entry.  So does the
 support of a pattern p, the AND over the entries of ``at_least(r, p[r])``
 at each entry's first row r, since p is non-increasing.
 
-Parent masks.  The search never computes a candidate's parent; it only
-decides whether the emitting node n is that parent.  Let prefix_i be the
-trees s with s[k] >= n[k] for every k < i, and ``wider[i] = prefix_i &
-at_least(i, n[i] + 1)``, computed once per node that has candidates.  A
-candidate c with support C (the closure of a one-leaf extension of n, so c
-is pointwise at least n and differs from it) has parent n exactly when
-wider[i] == C at every row i where c[i] > n[i].  Sketch:
-
-- meet(c, s) is tuple-larger than n iff s lies in wider[i] at some row i
-  where c exceeds n: the meet's first difference from n is such a row, and
-  conversely at such a row i the meet exceeds n[i] while every earlier row
-  holds at least n's entry;
-- every supporter s of c lies in wider[i] at every such row i, as s >= c >= n
-  on every row and s[i] >= c[i] > n[i], so C is a subset of wider[i] and
-  equal sizes would already mean equal sets;
-- the trees of supp(n) outside C, never none since c != n, give meets that
-  dominate n, so the largest candidate meet is never below n.
-
-So the largest meet is n exactly when no tree outside C lies in wider[i] at
-a row where c exceeds n.  Past len(n), prefix_i stays supp(n) and wider[i]
-only shrinks, while a row there where c exceeds n makes c exceed n at row
-len(n) too, so the rows up to len(n) suffice: a node costs O(len(n)) mask
-operations, not a pass over the dataset.  :func:`parent_of` still computes
-the parent itself, since it must name it.
+Parent check.  The search never computes a candidate's parent; it only
+decides whether the emitting node n is that parent, by evaluating the
+parent rule on the index.  For a candidate c with support C, the
+tuple-largest meet with a tree outside C is built greedily row by row:
+the rest starts as the trees outside C, each row takes the smaller of
+c's entry and the widest width a tree of the rest reaches there, and the
+rest keeps the trees at least that wide.  The walk stops at the first
+row where that width differs from n's, n padded with zeros (n is not the
+parent), or is 0 (it is).  As closures, c and n are constant over the rows
+of each index entry and end at an entry's first row, and then so are the
+width and the rest, so the walk reads one row per entry.
+:func:`parent_of` still computes the parent itself, since it must name
+it: the largest meet with a distinct signature outside the support.
 """
 
 from __future__ import annotations
@@ -150,24 +141,6 @@ class MiningSummary:
     peak_live_candidates: int = 0
 
 
-@lru_cache(maxsize=8)
-def _dataset_signatures(dataset: Dataset) -> tuple[Signature, ...]:
-    """Validated signatures of the dataset's trees.
-
-    Memoised per dataset value, which is immutable, so the public wrappers
-    can be called per candidate without redoing this.  A failed validation
-    is not memoised and raises on every call.
-    """
-    if dataset.mode != "unordered":
-        raise ConstraintError("closed mining requires an unordered dataset")
-    sigs = []
-    for i, t in enumerate(dataset.trees):
-        if t.height > 2:
-            raise ConstraintError(f"dataset tree {i} has height {t.height} > 2")
-        sigs.append(signature_of(t))
-    return tuple(sigs)
-
-
 class _SupportIndex:
     """Per-row support masks of a dataset's signatures (see the module notes).
 
@@ -178,9 +151,21 @@ class _SupportIndex:
     rows and, for each, the mask of the trees at least that wide, followed
     by a 0 for any larger width, so ``masks[bisect_left(widths, w)]`` is the
     mask of the trees at least ``w`` wide.
+
+    Building it validates the dataset; ``sigs`` holds the signatures of its
+    trees.  A failed validation raises, so :func:`_support_index` does not
+    memoise it.
     """
 
-    def __init__(self, sigs: tuple[Signature, ...]) -> None:
+    def __init__(self, dataset: Dataset) -> None:
+        if dataset.mode != "unordered":
+            raise ConstraintError("closed mining requires an unordered dataset")
+        sigs = []
+        for i, t in enumerate(dataset.trees):
+            if t.height > 2:
+                raise ConstraintError(f"dataset tree {i} has height {t.height} > 2")
+            sigs.append(signature_of(t))
+        self.sigs = sigs = tuple(sigs)
         self.full = (1 << len(sigs)) - 1
         cuts = {0}
         for s in sigs:
@@ -233,23 +218,32 @@ class _SupportIndex:
             out += repeat(widths[j], end - start)
         return tuple(out)
 
-    def wider(self, sig: Signature) -> list[int]:
-        """``wider[i]`` for rows ``0..len(sig)``: the trees at least ``sig``
-        before row ``i`` and wider than it in row ``i``."""
-        out, prefix = [], self.full
-        padded = sig + (0,)
-        for start, end, (widths, masks) in self.spans:
-            for x in padded[start:end]:
-                out.append(prefix & masks[bisect_right(widths, x)])
-                prefix &= masks[bisect_left(widths, x)]
-            if end >= len(padded):
-                break
-        return out
+    def is_parent(self, node: Signature, sig: Signature, mask: int) -> bool:
+        """Whether the closed ``node`` is the parent of the closed non-root
+        ``sig`` with support ``mask``: the parent rule walked one index
+        entry at a time up to its first difference from ``node`` (see the
+        module notes)."""
+        rest = self.full & ~mask
+        for start, _, (widths, masks) in self.spans:
+            x = sig[start] if start < len(sig) else 0
+            # the widest width up to x that some tree of the rest reaches
+            j = bisect_left(widths, x)
+            while not masks[j] & rest:
+                j -= 1
+            w = widths[j] if widths[j] < x else x
+            if w != (node[start] if start < len(node) else 0):
+                return False
+            if not w:
+                return True
+            rest &= masks[j]
+        raise AssertionError("unreachable: the last entry has width 0 for every tree")
 
 
 @lru_cache(maxsize=8)
 def _support_index(dataset: Dataset) -> _SupportIndex:
-    return _SupportIndex(_dataset_signatures(dataset))
+    """The validated index of ``dataset``, memoised per dataset value, which
+    is immutable, so the public wrappers can be called per candidate."""
+    return _SupportIndex(dataset)
 
 
 def _support_set(mask: int) -> SupportSet:
@@ -296,7 +290,8 @@ def is_closed(pattern: Tree, dataset: Dataset) -> bool:
 def _parent_sig(sig: Signature, mask: int, sigs: tuple[Signature, ...]) -> Signature:
     """Parent signature of a closed non-root node with support ``mask``
     (see the module notes)."""
-    return max(signatures_meet([sig, s]) for i, s in enumerate(sigs) if not mask >> i & 1)
+    rest = {s for i, s in enumerate(sigs) if not mask >> i & 1}
+    return max(signatures_meet([sig, s]) for s in rest)
 
 
 def parent_of(pattern: Tree, dataset: Dataset) -> Tree:
@@ -308,7 +303,7 @@ def parent_of(pattern: Tree, dataset: Dataset) -> Tree:
     index, _, mask, closed = _closed(pattern, dataset)
     if mask == index.full:
         raise RootPatternError("the dataset closure has no parent")
-    return tree_from_signature(_parent_sig(closed, mask, _dataset_signatures(dataset)))
+    return tree_from_signature(_parent_sig(closed, mask, index.sigs))
 
 
 def _corner_rows(sig: Signature) -> list[int]:
@@ -338,13 +333,6 @@ def _extensions(
     return out
 
 
-def _parent_accepts(wider: list[int], sig: Signature, child: Signature, mask: int) -> bool:
-    """Whether ``sig``, whose parent masks are ``wider``, is the parent of
-    ``child``, the closure of one of its one-leaf extensions, with support
-    ``mask`` (see the module notes)."""
-    return all(w == mask for w, x, y in zip(wider, child, sig + (0,)) if x > y)
-
-
 def neighbors(pattern: Tree, dataset: Dataset, theta: int) -> list[Tree]:
     """Neighbor patterns of a closed frequent tree, at most one per vertex."""
     if theta < 1:
@@ -365,16 +353,16 @@ def enumerate_closed(
     solution count, the maximum delay between consecutive emissions, and
     peak working-set metrics.
     """
-    sigs = _dataset_signatures(dataset)
+    index = _support_index(dataset)
     if config.theta < 1:
         raise ValueError(f"theta must be >= 1, got {config.theta}")
     if config.max_solutions is not None and config.max_solutions < 0:
         raise ValueError(f"limit must be >= 0, got {config.max_solutions}")
     summary = MiningSummary()
-    if config.theta > len(sigs) or config.max_solutions == 0:
+    if config.theta > len(index.sigs) or config.max_solutions == 0:
         return summary
 
-    root = SearchNode(signatures_meet(sigs), SupportSet.from_indices(range(len(sigs))))
+    root = SearchNode(index.closure(index.full), _support_set(index.full))
 
     last_tick = time.perf_counter()
 
@@ -390,34 +378,31 @@ def enumerate_closed(
 
     if not emit(root):
         return summary
-    index = _support_index(dataset)
 
-    def frame(sig: Signature, mask: int) -> tuple[Signature, list[int] | None, list]:
+    def frame(sig: Signature, mask: int) -> tuple[Signature, list]:
         # reversed so that pop() walks the candidates in their generation order
-        pending = _extensions(index, sig, mask, config.theta)[::-1]
-        return sig, index.wider(sig) if pending else None, pending
+        return sig, _extensions(index, sig, mask, config.theta)[::-1]
 
-    # Each frame is (signature, its parent masks, pending (closure, support
-    # mask) candidates); a child is expanded only when the frame's node is
-    # its parent, decided from the parent masks, which visits every
-    # solution exactly once without remembering emitted keys.
+    # Each frame is (signature, pending (closure, support mask) candidates);
+    # a child is expanded only when the frame's node is its parent, which
+    # visits every solution exactly once without remembering emitted keys.
     stack = [frame(root.sig, index.full)]
-    live = len(stack[0][2])
+    live = len(stack[0][1])
     summary.peak_stack_depth = 1
     summary.peak_live_candidates = live
     while stack:
-        sig, wider, pending = stack[-1]
+        sig, pending = stack[-1]
         if not pending:
             stack.pop()
             continue
         child, mask = pending.pop()
         live -= 1
-        if not _parent_accepts(wider, sig, child, mask):
+        if not index.is_parent(sig, child, mask):
             continue
         if not emit(SearchNode(child, _support_set(mask))):
             return summary
         stack.append(frame(child, mask))
-        live += len(stack[-1][2])
+        live += len(stack[-1][1])
         summary.peak_stack_depth = max(summary.peak_stack_depth, len(stack))
         summary.peak_live_candidates = max(summary.peak_live_candidates, live)
     return summary

@@ -355,6 +355,15 @@ class Dataset:
     def __iter__(self) -> Iterator[Tree]:
         return iter(self.trees)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hashed once: per-dataset caches look a dataset up on every call,
+        # and hashing walks every tree
+        return hash((self.trees, self.mode))
+
 
 @dataclass(frozen=True)
 class SupportSet:

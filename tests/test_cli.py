@@ -1,5 +1,6 @@
 import io
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -337,6 +338,29 @@ def test_gen_dual_universal_vertex_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "gen", "dual", "--input", hg.as_posix())
     assert code == 3
     assert "every hyperedge" in err
+
+
+def test_dual_huge_vertex_id_refused_at_once(tmp_path):
+    # A universal vertex with an id near 2**31 is refused from the edges
+    # alone, without a scan over the vertex range; each child runs under CPU
+    # and address-space limits so a regression fails instead of hanging.
+    def limits():
+        resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    hg = tmp_path / "h.hg"
+    hg.write_text("2147483648 1\n2147483648\n")
+    src = os.path.dirname(os.path.dirname(shrubmine.__file__))
+    for cmd in ("gen", "verify"):
+        done = subprocess.run(
+            [sys.executable, "-m", "shrubmine.cli", cmd, "dual", "--input", hg.as_posix()],
+            capture_output=True, text=True, timeout=120, preexec_fn=limits,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and "every hyperedge" in done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 def test_dual_without_vertices_exit_code(capsys, tmp_path):

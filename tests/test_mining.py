@@ -32,9 +32,7 @@ from shrubmine import (
 )
 from shrubmine.mining import (
     _corner_rows,
-    _dataset_signatures,
     _extensions,
-    _parent_accepts,
     _parent_sig,
     _support_index,
     _support_set,
@@ -214,8 +212,9 @@ def test_enumerate_argument_and_constraint_errors():
         enumerate_closed(tall, MiningConfig(theta=1))
     assert "tree 0" in str(err.value)
     ordered = Dataset.from_trees([parse_tree("(())")], "ordered")
-    with pytest.raises(ConstraintError):
-        enumerate_closed(ordered, MiningConfig(theta=1))
+    for theta in (1, 0):  # a bad dataset is reported before a bad theta
+        with pytest.raises(ConstraintError):
+            enumerate_closed(ordered, MiningConfig(theta=theta))
     # the wrappers memoise the dataset's validation, but never a failed one
     for bad in (tall, ordered, tall):
         for call in (closure, is_closed, parent_of, pattern_support):
@@ -371,13 +370,13 @@ def test_row_rules_match_meet_and_dominance():
     # mask routines on every extension and candidate against their
     # definitions: the one-cell support mask against dominance over the
     # node's supporters, the mask closure against the meet of the
-    # supporters, and the parent-mask decision against the tuple-largest
-    # meet.
+    # supporters, and the row walk of the parent rule against the
+    # tuple-largest meet.
     decided = 0
     for case in _row_rule_cases():
         ds = sig_dataset(*case)
-        sigs = _dataset_signatures(ds)
         index = _support_index(ds)
+        sigs = index.sigs
         for theta in range(1, len(sigs) + 1):
             root = (signatures_meet(sigs), index.full)
             todo, seen = [root], {root[0]}
@@ -394,10 +393,9 @@ def test_row_rules_match_meet_and_dominance():
                     if dominating:
                         meet = signatures_meet([sigs[i] for i in dominating])
                         assert index.closure(sup) == meet
-                wider = index.wider(sig)
                 for child, child_mask in _extensions(index, sig, mask, theta):
                     is_parent = _parent_sig(child, child_mask, sigs) == sig
-                    assert _parent_accepts(wider, sig, child, child_mask) == is_parent
+                    assert index.is_parent(sig, child, child_mask) == is_parent
                     decided += 1
                     if child not in seen:
                         seen.add(child)
@@ -415,8 +413,8 @@ def test_row_index_shares_entries_between_equal_rows():
         "(" + "(())" * 30000 + ")",
     ]
     ds = Dataset.from_trees([parse_tree(t) for t in text], "unordered")
-    sigs = _dataset_signatures(ds)
     index = _support_index(ds)
+    sigs = index.sigs
     assert index.starts == [0, 1, 3, 1000, 30000, 51000, 200000]
     assert len(index.spans) == len(index.starts)
     for row in (0, 1, 2, 3, 999, 1000, 29999, 30000, 50999, 51000, 199999, 200000, 200001):
@@ -426,6 +424,28 @@ def test_row_index_shares_entries_between_equal_rows():
             assert index.at_least(row, width) == expected
     got, _ = mine(ds, 1)
     assert len(got) == 9
+    # the parent walk against the parent rule's definition on every emitted
+    # node and every candidate parent, where an index entry spans up to
+    # 149000 rows
+    for child in got[1:]:
+        mask = sum(1 << i for i in child.support.indices)
+        parent = _parent_sig(child.sig, mask, sigs)
+        assert [index.is_parent(n.sig, child.sig, mask) for n in got] == [
+            n.sig == parent for n in got
+        ]
+
+
+def test_equal_datasets_share_one_index():
+    # A dataset hashes once, by value: equal datasets built apart hash
+    # equal and find one cached index.
+    text = ["((())())", "(()()())", "((()))"]
+    a, b = (Dataset.from_trees([parse_tree(t) for t in text], "unordered") for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert vars(a)["_hash"] == hash(a)
+    index = _support_index(a)
+    hits = _support_index.cache_info().hits
+    assert _support_index(b) is index
+    assert _support_index.cache_info().hits == hits + 1
 
 
 def test_stream_ignores_tree_and_child_order():
