@@ -370,8 +370,8 @@ def test_row_rules_match_meet_and_dominance():
     # mask routines on every extension and candidate against their
     # definitions: the one-cell support mask against dominance over the
     # node's supporters, the mask closure against the meet of the
-    # supporters, and the row walk of the parent rule against the
-    # tuple-largest meet.
+    # supporters, and the walk of the parent rule against the tuple-largest
+    # meet.
     decided = 0
     for case in _row_rule_cases():
         ds = sig_dataset(*case)
